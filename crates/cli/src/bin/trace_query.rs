@@ -15,7 +15,7 @@ use std::process::ExitCode;
 
 use proteus_metrics::report::{fmt_f, json_escape, waterfall_bar, TextTable};
 use proteus_trace::{
-    blame, collapse_flame, diff_traces, parse_jsonl, query_lifecycle, span_tree, span_trees,
+    blame, collapse_flame, diff_traces, parse_jsonl_torn, query_lifecycle, span_tree, span_trees,
     BlameCause, BlameVerdict, CausalEdge, DiffReport, EventKind, LifecycleStats, Segment, SpanTree,
     TraceEvent,
 };
@@ -89,7 +89,11 @@ fn parse_args(args: &[String]) -> Result<(Vec<String>, Opts), String> {
 
 fn load_trace(path: &str) -> Result<Vec<TraceEvent>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
-    parse_jsonl(&text).map_err(|e| format!("`{path}`: {e}"))
+    let (events, torn) = parse_jsonl_torn(&text).map_err(|e| format!("`{path}`: {e}"))?;
+    if let Some(e) = torn {
+        eprintln!("warning: `{path}`: skipped a torn final line (no trailing newline): {e}");
+    }
+    Ok(events)
 }
 
 fn main() -> ExitCode {

@@ -269,7 +269,7 @@ impl Allocator for AlternatingVariant {
         _current: Option<&AllocationPlan>,
         _now: SimTime,
     ) -> AllocationPlan {
-        let index = if self.calls % 2 == 0 { 0 } else { 4 };
+        let index = if self.calls.is_multiple_of(2) { 0 } else { 4 };
         self.calls += 1;
         let mut p = AllocationPlan::empty(2);
         p.assign(

@@ -12,6 +12,7 @@ use proteus_profiler::DeviceId;
 use proteus_sim::SimTime;
 
 use crate::event::{EventKind, TraceEvent};
+use crate::interval::{ByDevice, IntervalIndex};
 
 /// Returns every event relevant to one query, in stream order: the events
 /// directly about it (`Arrived`, `Routed`, `Enqueued`, terminals) plus the
@@ -204,19 +205,19 @@ impl BlameReport {
 /// exactly one category by construction.
 pub fn blame(events: &[TraceEvent]) -> BlameReport {
     // Per-device timelines and per-query routing state, one pass.
-    let mut loads: HashMap<u32, Vec<(SimTime, SimTime)>> = HashMap::new();
+    let mut loads: HashMap<u32, Vec<(SimTime, SimTime, ())>> = HashMap::new();
     let mut execs: HashMap<u32, Vec<(SimTime, SimTime, u64)>> = HashMap::new();
     let mut enqueued_at: HashMap<u64, (SimTime, DeviceId)> = HashMap::new();
     let mut serving_batch: HashMap<u64, (DeviceId, u64)> = HashMap::new();
     let mut exec_start: HashMap<(u32, u64), SimTime> = HashMap::new();
-    let mut solves: Vec<(SimTime, SimTime)> = Vec::new();
+    let mut solves: Vec<(SimTime, SimTime, ())> = Vec::new();
     for e in events {
         match &e.kind {
             EventKind::SolveStarted { until, .. } => {
-                solves.push((e.at, *until));
+                solves.push((e.at, *until, ()));
             }
             EventKind::ModelLoadStarted { device, until, .. } => {
-                loads.entry(device.0).or_default().push((e.at, *until));
+                loads.entry(device.0).or_default().push((e.at, *until, ()));
             }
             EventKind::ExecStarted {
                 device,
@@ -245,6 +246,9 @@ pub fn blame(events: &[TraceEvent]) -> BlameReport {
             _ => {}
         }
     }
+    let loads = ByDevice::new(loads);
+    let execs = ByDevice::new(execs);
+    let solves = IntervalIndex::new(solves);
 
     let overlap = |a0: SimTime, a1: SimTime, b0: SimTime, b1: SimTime| -> u64 {
         let lo = a0.max(b0).as_nanos();
@@ -301,24 +305,28 @@ pub fn blame(events: &[TraceEvent]) -> BlameReport {
         let end = window_end.unwrap_or(start);
         let own_batch = serving_batch.get(&query).copied();
 
+        // Intervals outside the index's run overlap the window by zero, so
+        // the sums below equal sums over the device's whole timeline.
         let load_ns: u64 = loads
-            .get(&device.0)
-            .map(|v| v.iter().map(|&(a, b)| overlap(start, end, a, b)).sum())
-            .unwrap_or(0);
+            .overlapping(device.0, start, end)
+            .iter()
+            .map(|&(a, b, ())| overlap(start, end, a, b))
+            .sum();
         let busy_ns: u64 = execs
-            .get(&device.0)
-            .map(|v| {
-                v.iter()
-                    .filter(|&&(_, _, b)| own_batch != Some((device, b)))
-                    .map(|&(a, b, _)| overlap(start, end, a, b))
-                    .sum()
-            })
-            .unwrap_or(0);
+            .overlapping(device.0, start, end)
+            .iter()
+            .filter(|&&(_, _, b)| own_batch != Some((device, b)))
+            .map(|&(a, b, _)| overlap(start, end, a, b))
+            .sum();
         let window_ns = end.saturating_sub(start).as_nanos();
         let wait_ns = window_ns.saturating_sub(load_ns + busy_ns);
         // Solve windows never overlap each other (at most one solve is in
         // flight), so a plain sum is the true overlap.
-        let stale_ns: u64 = solves.iter().map(|&(a, b)| overlap(start, end, a, b)).sum();
+        let stale_ns: u64 = solves
+            .overlapping(start, end)
+            .iter()
+            .map(|&(a, b, ())| overlap(start, end, a, b))
+            .sum();
 
         let cause = if window_ns == 0 {
             if expired {

@@ -5,6 +5,7 @@
 //! is exactly the dialect the parser accepts: objects with string, integer,
 //! float, null, and integer-array values.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 use proteus_profiler::{DeviceId, ModelFamily, VariantId};
@@ -246,12 +247,13 @@ impl std::fmt::Display for ParseEventError {
 
 impl std::error::Error for ParseEventError {}
 
-/// A parsed JSON value of the subset the trace format uses.
+/// A parsed JSON value of the subset the trace format uses. Strings
+/// without escapes borrow from the input line.
 #[derive(Debug, Clone, PartialEq)]
-enum Val {
+enum Val<'a> {
     Int(u64),
     Float(f64),
-    Str(String),
+    Str(Cow<'a, str>),
     Arr(Vec<u64>),
     Null,
 }
@@ -307,7 +309,7 @@ pub fn parse_line(text: &str) -> Result<TraceEvent, ParseEventError> {
     };
     let str_ = |key: &str| -> Result<&str, ParseEventError> {
         match get(key)? {
-            Val::Str(s) => Ok(s.as_str()),
+            Val::Str(s) => Ok(s.as_ref()),
             other => Err(ParseEventError {
                 line: 0,
                 reason: format!("field `{key}` is not a string: {other:?}"),
@@ -534,22 +536,48 @@ pub fn parse_line(text: &str) -> Result<TraceEvent, ParseEventError> {
 
 /// Parses a whole JSONL document (blank lines skipped).
 ///
+/// A final line that does not end in a newline and does not parse was cut
+/// mid-write by a recorder that died; it is skipped, so the trace of a
+/// crashed run can still be read. [`parse_jsonl_torn`] also reports it.
+///
 /// # Errors
 ///
-/// Returns the first malformed line with its 1-based line number.
+/// Returns the first malformed newline-terminated line with its 1-based
+/// line number.
 pub fn parse_jsonl(text: &str) -> Result<Vec<TraceEvent>, ParseEventError> {
+    parse_jsonl_torn(text).map(|(events, _)| events)
+}
+
+/// [`parse_jsonl`], also returning the parse error of the torn final line
+/// it skipped, if there was one.
+///
+/// # Errors
+///
+/// Returns the first malformed newline-terminated line with its 1-based
+/// line number.
+pub fn parse_jsonl_torn(
+    text: &str,
+) -> Result<(Vec<TraceEvent>, Option<ParseEventError>), ParseEventError> {
     let mut events = Vec::new();
-    for (idx, line) in text.lines().enumerate() {
+    let mut lines = text.lines().enumerate().peekable();
+    while let Some((idx, line)) = lines.next() {
         if line.trim().is_empty() {
             continue;
         }
-        let event = parse_line(line).map_err(|mut e| {
-            e.line = idx + 1;
-            e
-        })?;
-        events.push(event);
+        match parse_line(line) {
+            Ok(event) => events.push(event),
+            Err(mut e) => {
+                e.line = idx + 1;
+                // Only the last line, with no newline after it, can have
+                // been cut short by the writer.
+                if lines.peek().is_none() && !text.ends_with('\n') {
+                    return Ok((events, Some(e)));
+                }
+                return Err(e);
+            }
+        }
     }
-    Ok(events)
+    Ok((events, None))
 }
 
 /// Parses `Family#index` (the `Display` form of [`VariantId`]).
@@ -569,8 +597,9 @@ fn parse_device_type(s: &str) -> Option<proteus_profiler::DeviceType> {
 }
 
 /// Parses a flat JSON object into `(key, value)` pairs.
-fn parse_object(text: &str) -> Result<Vec<(String, Val)>, String> {
+fn parse_object(text: &str) -> Result<Vec<(Cow<'_, str>, Val<'_>)>, String> {
     let mut p = Parser {
+        text,
         bytes: text.as_bytes(),
         pos: 0,
     };
@@ -605,11 +634,13 @@ fn parse_object(text: &str) -> Result<Vec<(String, Val)>, String> {
 }
 
 struct Parser<'a> {
+    text: &'a str,
+    /// `text` as bytes.
     bytes: &'a [u8],
     pos: usize,
 }
 
-impl Parser<'_> {
+impl<'a> Parser<'a> {
     fn peek(&self) -> Option<u8> {
         self.bytes.get(self.pos).copied()
     }
@@ -633,26 +664,86 @@ impl Parser<'_> {
         }
     }
 
-    fn string(&mut self) -> Result<String, String> {
+    /// Parses a string literal. Without escapes the value is a slice of
+    /// the input; `"` and `\` are ASCII, so every position the scan stops
+    /// at is a character boundary.
+    fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect_byte(b'"')?;
-        let mut out = String::new();
+        let text = self.text;
+        // Start of the run of input not yet copied into `owned`.
+        let mut run = self.pos;
+        let mut owned: Option<String> = None;
         loop {
             match self.next() {
-                Some(b'"') => return Ok(out),
-                Some(b'\\') => match self.next() {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    other => return Err(format!("unsupported escape {other:?}")),
-                },
-                Some(b) => out.push(b as char),
+                Some(b'"') => {
+                    let tail = &text[run..self.pos - 1];
+                    return Ok(match owned {
+                        None => Cow::Borrowed(tail),
+                        Some(mut s) => {
+                            s.push_str(tail);
+                            Cow::Owned(s)
+                        }
+                    });
+                }
+                Some(b'\\') => {
+                    let s = owned.get_or_insert_with(String::new);
+                    s.push_str(&text[run..self.pos - 1]);
+                    s.push(self.escape()?);
+                    run = self.pos;
+                }
+                Some(_) => {}
                 None => return Err("unterminated string".into()),
             }
         }
     }
 
-    fn number(&mut self) -> Result<Val, String> {
+    /// Decodes the escape after a backslash, including `\uXXXX` and
+    /// UTF-16 surrogate pairs.
+    fn escape(&mut self) -> Result<char, String> {
+        Ok(match self.next() {
+            Some(b'"') => '"',
+            Some(b'\\') => '\\',
+            Some(b'/') => '/',
+            Some(b'b') => '\u{8}',
+            Some(b'f') => '\u{c}',
+            Some(b'n') => '\n',
+            Some(b'r') => '\r',
+            Some(b't') => '\t',
+            Some(b'u') => {
+                let unit = self.hex4()?;
+                let code = if (0xD800..0xDC00).contains(&unit) {
+                    if !self.bytes[self.pos..].starts_with(b"\\u") {
+                        return Err(format!("unpaired surrogate \\u{unit:04x}"));
+                    }
+                    self.pos += 2;
+                    let low = self.hex4()?;
+                    if !(0xDC00..0xE000).contains(&low) {
+                        return Err(format!("unpaired surrogate \\u{unit:04x}"));
+                    }
+                    0x10000 + ((unit - 0xD800) << 10) + (low - 0xDC00)
+                } else {
+                    unit
+                };
+                char::from_u32(code).ok_or_else(|| format!("unpaired surrogate \\u{code:04x}"))?
+            }
+            other => return Err(format!("unsupported escape {other:?}")),
+        })
+    }
+
+    /// Four hex digits of a `\u` escape.
+    fn hex4(&mut self) -> Result<u32, String> {
+        let digits = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .filter(|d| d.iter().all(u8::is_ascii_hexdigit))
+            .ok_or("`\\u` needs four hex digits")?;
+        self.pos += 4;
+        Ok(digits.iter().fold(0, |acc, &d| {
+            acc * 16 + char::from(d).to_digit(16).unwrap_or(0)
+        }))
+    }
+
+    fn number(&mut self) -> Result<Val<'a>, String> {
         let start = self.pos;
         while matches!(
             self.peek(),
@@ -660,7 +751,7 @@ impl Parser<'_> {
         ) {
             self.pos += 1;
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos]).map_err(|e| e.to_string())?;
+        let text = &self.text[start..self.pos];
         if text.is_empty() {
             return Err("expected a number".into());
         }
@@ -675,7 +766,7 @@ impl Parser<'_> {
         }
     }
 
-    fn value(&mut self) -> Result<Val, String> {
+    fn value(&mut self) -> Result<Val<'a>, String> {
         match self.peek() {
             Some(b'"') => Ok(Val::Str(self.string()?)),
             Some(b'n') => {
@@ -954,6 +1045,117 @@ mod tests {
         ] {
             assert!(parse_line(bad).is_err(), "{bad:?} should fail");
         }
+    }
+
+    /// `s` as a JSON string literal: raw UTF-8 with only the required
+    /// escapes, or with every non-ASCII character as `\u` UTF-16 units.
+    fn quote(s: &str, ascii_only: bool) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                c if c.is_control() || (ascii_only && !c.is_ascii()) => {
+                    let mut units = [0u16; 2];
+                    for unit in c.encode_utf16(&mut units) {
+                        let _ = write!(out, "\\u{unit:04x}");
+                    }
+                }
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn non_ascii_strings_round_trip() {
+        for value in [
+            "ResNet",
+            "Gr\u{fc}\u{df}e, \u{e9}t\u{e9}",
+            "\u{65e5}\u{672c}\u{8a9e} \u{1f680}",
+            "quote \" slash \\ tab \t bell \u{7} nl \n",
+            "",
+        ] {
+            for ascii_only in [false, true] {
+                let text = format!("{{\"k\":{}}}", quote(value, ascii_only));
+                let fields = parse_object(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
+                assert_eq!(fields, [("k".into(), Val::Str(value.into()))], "{text}");
+            }
+        }
+        // The remaining escapes and a surrogate pair.
+        let fields = parse_object("{\"k\":\"\\/\\b\\f\\r\\ud83d\\ude80\"}").unwrap();
+        assert_eq!(fields[0].1, Val::Str("/\u{8}\u{c}\r\u{1f680}".into()));
+        for bad in [
+            "{\"k\":\"\\ud83d\"}",
+            "{\"k\":\"\\ude80\"}",
+            "{\"k\":\"\\u12\"}",
+            "{\"k\":\"\\x\"}",
+            "{\"k\":\"open}",
+        ] {
+            assert!(parse_object(bad).is_err(), "{bad} should fail");
+        }
+    }
+
+    #[test]
+    fn error_messages_keep_non_ascii_text() {
+        let err = parse_line("{\"t\":1,\"ev\":\"ank\u{f6}mmling \u{2713}\"}").unwrap_err();
+        assert_eq!(err.reason, "unknown event type `ank\u{f6}mmling \u{2713}`");
+        let err = parse_line("{\"t\":1,\"ev\":\"arrived\",\"q\":1,\"family\":\"R\u{e9}sNet\"}")
+            .unwrap_err();
+        assert!(err.reason.contains("R\u{e9}sNet"), "{}", err.reason);
+    }
+
+    #[test]
+    fn torn_final_line_is_skipped_and_reported() {
+        let events = all_kinds();
+        let mut doc: String = events.iter().map(|e| to_jsonl(e) + "\n").collect();
+        let last = to_jsonl(&events[0]);
+        doc.push_str(&last[..last.len() / 2]);
+        let (parsed, torn) = parse_jsonl_torn(&doc).unwrap();
+        assert_eq!(parsed, events);
+        assert_eq!(torn.map(|e| e.line), Some(events.len() + 1));
+        assert_eq!(parse_jsonl(&doc).unwrap(), events);
+        // A complete final line without its newline still counts.
+        let whole = format!(
+            "{doc_ok}{last}",
+            doc_ok = &doc[..doc.rfind('\n').unwrap() + 1]
+        );
+        let (parsed, torn) = parse_jsonl_torn(&whole).unwrap();
+        assert_eq!(parsed.len(), events.len() + 1);
+        assert!(torn.is_none());
+    }
+
+    #[test]
+    fn every_prefix_of_a_line_parses_or_errors() {
+        // What a torn write can leave behind: no prefix may panic.
+        let mut lines: Vec<String> = all_kinds().iter().map(to_jsonl).collect();
+        lines.push("{\"t\":1,\"ev\":\"\u{fc}\\u00e9\\ud83d\\ude80\u{1f680}\"}".to_string());
+        for line in &lines {
+            for end in (0..=line.len()).filter(|&i| line.is_char_boundary(i)) {
+                let prefix = &line[..end];
+                if end < line.len() {
+                    assert!(parse_line(prefix).is_err(), "{prefix}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn malformed_newline_terminated_final_line_is_an_error() {
+        let good = to_jsonl(&all_kinds()[0]);
+        let doc = format!("{good}\n{}\n", &good[..good.len() / 2]);
+        assert_eq!(parse_jsonl(&doc).unwrap_err().line, 2);
+        assert_eq!(parse_jsonl_torn(&doc).unwrap_err().line, 2);
+    }
+
+    #[test]
+    fn malformed_middle_line_is_an_error_even_with_a_torn_tail() {
+        let good = to_jsonl(&all_kinds()[0]);
+        let doc = format!("{good}\nnot json\n{good}\n{}", &good[..5]);
+        assert_eq!(parse_jsonl(&doc).unwrap_err().line, 2);
+        assert_eq!(parse_jsonl_torn(&doc).unwrap_err().line, 2);
     }
 
     #[test]

@@ -46,14 +46,18 @@ pub mod analysis;
 pub mod chrome;
 pub mod diff;
 pub mod event;
+mod interval;
 pub mod json;
 pub mod sink;
 pub mod span;
+
+#[cfg(test)]
+mod oracle;
 
 pub use analysis::{blame, query_lifecycle, BlameCause, BlameReport, BlameVerdict, LifecycleStats};
 pub use chrome::export_chrome;
 pub use diff::{diff_traces, CauseMigration, DiffReport, SegmentDelta};
 pub use event::{AlertSeverity, DiscardReason, DropReason, EventKind, ReplanCause, TraceEvent};
-pub use json::{parse_jsonl, parse_line, to_jsonl, ParseEventError};
+pub use json::{parse_jsonl, parse_jsonl_torn, parse_line, to_jsonl, ParseEventError};
 pub use sink::{JsonlSink, MemorySink, NullSink, TraceSink};
 pub use span::{collapse_flame, span_tree, span_trees, CausalEdge, Outcome, Segment, SpanTree};

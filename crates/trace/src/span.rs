@@ -30,6 +30,7 @@ use proteus_profiler::{DeviceId, ModelFamily, VariantId};
 use proteus_sim::SimTime;
 
 use crate::event::{DropReason, EventKind, TraceEvent};
+use crate::interval::{ByDevice, IntervalIndex};
 
 /// One additive critical-path segment class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -225,12 +226,12 @@ impl SpanTree {
 /// Per-device interval timelines harvested in one pass over the trace.
 struct Timelines {
     /// Device → `(start, until, batch)` execution intervals.
-    execs: HashMap<u32, Vec<(SimTime, SimTime, u64)>>,
-    /// Device → `(start, until, variant)` load intervals.
-    loads: HashMap<u32, Vec<(SimTime, SimTime, Option<VariantId>)>>,
+    execs: ByDevice<u64>,
+    /// Device → `(start, until, (event index, variant))` load intervals.
+    loads: ByDevice<(usize, Option<VariantId>)>,
     /// Open solve windows `(start, until)` (never overlapping: at most one
     /// solve is in flight).
-    solves: Vec<(SimTime, SimTime)>,
+    solves: IntervalIndex<()>,
     /// Query → arrival `(at, family)`.
     arrived: HashMap<u64, (SimTime, ModelFamily)>,
     /// Query → final placement `(at, device, behind)`.
@@ -244,20 +245,18 @@ struct Timelines {
 }
 
 fn harvest(events: &[TraceEvent]) -> Timelines {
-    let mut t = Timelines {
-        execs: HashMap::new(),
-        loads: HashMap::new(),
-        solves: Vec::new(),
-        arrived: HashMap::new(),
-        enqueued: HashMap::new(),
-        member_of: HashMap::new(),
-        exec_start: HashMap::new(),
-        retries: HashMap::new(),
-    };
-    for e in events {
+    let mut execs: HashMap<u32, Vec<_>> = HashMap::new();
+    let mut loads: HashMap<u32, Vec<_>> = HashMap::new();
+    let mut solves = Vec::new();
+    let mut arrived = HashMap::new();
+    let mut enqueued = HashMap::new();
+    let mut member_of: HashMap<u64, Vec<_>> = HashMap::new();
+    let mut exec_start = HashMap::new();
+    let mut retries: HashMap<u64, Vec<_>> = HashMap::new();
+    for (i, e) in events.iter().enumerate() {
         match &e.kind {
             EventKind::Arrived { query, family } => {
-                t.arrived.entry(*query).or_insert((e.at, *family));
+                arrived.entry(*query).or_insert((e.at, *family));
             }
             EventKind::Enqueued {
                 query,
@@ -267,7 +266,7 @@ fn harvest(events: &[TraceEvent]) -> Timelines {
             } => {
                 // Last placement wins: that is the queue the query is
                 // actually served (or dies) in.
-                t.enqueued.insert(*query, (e.at, *device, *behind));
+                enqueued.insert(*query, (e.at, *device, *behind));
             }
             EventKind::BatchFormed {
                 device,
@@ -275,7 +274,7 @@ fn harvest(events: &[TraceEvent]) -> Timelines {
                 queries,
             } => {
                 for q in queries {
-                    t.member_of.entry(*q).or_default().push((device.0, *batch));
+                    member_of.entry(*q).or_default().push((device.0, *batch));
                 }
             }
             EventKind::ExecStarted {
@@ -284,43 +283,52 @@ fn harvest(events: &[TraceEvent]) -> Timelines {
                 until,
                 ..
             } => {
-                t.execs
+                execs
                     .entry(device.0)
                     .or_default()
                     .push((e.at, *until, *batch));
-                t.exec_start.insert((device.0, *batch), e.at);
+                exec_start.insert((device.0, *batch), e.at);
             }
             EventKind::ModelLoadStarted {
                 device,
                 variant,
                 until,
             } => {
-                t.loads
+                loads
                     .entry(device.0)
                     .or_default()
-                    .push((e.at, *until, *variant));
+                    .push((e.at, *until, (i, *variant)));
             }
             EventKind::SolveStarted { until, .. } => {
-                t.solves.push((e.at, *until));
+                solves.push((e.at, *until, ()));
             }
             EventKind::QueryRetried {
                 query,
                 from,
                 attempt,
             } => {
-                t.retries.entry(*query).or_default().push((*from, *attempt));
+                retries.entry(*query).or_default().push((*from, *attempt));
             }
             _ => {}
         }
     }
-    t
+    Timelines {
+        execs: ByDevice::new(execs),
+        loads: ByDevice::new(loads),
+        solves: IntervalIndex::new(solves),
+        arrived,
+        enqueued,
+        member_of,
+        exec_start,
+        retries,
+    }
 }
 
 /// Wait-window coverage classes, in precedence order (highest first).
 /// An elementary sub-interval covered by several classes is charged to the
 /// highest one, which keeps the partition disjoint.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-enum Class {
+pub(crate) enum Class {
     OwnExec,
     OtherExec,
     Load,
@@ -341,7 +349,7 @@ impl Class {
 /// Partitions `[start, end)` against classed intervals by a boundary
 /// sweep, appending one span per elementary sub-interval (uncovered time
 /// becomes `BatchWait`). Adjacent spans of the same segment are merged.
-fn sweep(
+pub(crate) fn sweep(
     start: SimTime,
     end: SimTime,
     intervals: &[(SimTime, SimTime, Class)],
@@ -375,7 +383,7 @@ fn sweep(
 
 /// Appends a span, merging with the previous one when contiguous and of
 /// the same segment.
-fn push_span(out: &mut Vec<Span>, segment: Segment, lo: u64, hi: u64) {
+pub(crate) fn push_span(out: &mut Vec<Span>, segment: Segment, lo: u64, hi: u64) {
     if hi <= lo {
         return;
     }
@@ -441,8 +449,11 @@ fn build_tree(t: &Timelines, terminal: &TraceEvent) -> Option<SpanTree> {
             .filter(|&at| at >= enq_at && at <= end);
         let window_end = exec_start.unwrap_or(end);
 
+        // Only intervals overlapping the wait window can cover any of it,
+        // so the index's run yields the same partition and edges as the
+        // device's whole timeline would.
         let mut intervals: Vec<(SimTime, SimTime, Class)> = Vec::new();
-        for &(a, b, batch) in t.execs.get(&dev.0).map_or(&[][..], Vec::as_slice) {
+        for &(a, b, batch) in t.execs.overlapping(dev.0, enq_at, window_end) {
             let class = if own.contains(&(dev.0, batch)) {
                 Class::OwnExec
             } else {
@@ -450,10 +461,11 @@ fn build_tree(t: &Timelines, terminal: &TraceEvent) -> Option<SpanTree> {
             };
             intervals.push((a, b, class));
         }
-        for &(a, b, _) in t.loads.get(&dev.0).map_or(&[][..], Vec::as_slice) {
+        let loads = t.loads.overlapping(dev.0, enq_at, window_end);
+        for &(a, b, _) in loads {
             intervals.push((a, b, Class::Load));
         }
-        for &(a, b) in &t.solves {
+        for &(a, b, ()) in t.solves.overlapping(enq_at, window_end) {
             intervals.push((a, b, Class::Solve));
         }
         sweep(enq_at, window_end, &intervals, &mut spans);
@@ -472,24 +484,20 @@ fn build_tree(t: &Timelines, terminal: &TraceEvent) -> Option<SpanTree> {
             .map(|s| s.dur().as_nanos())
             .sum();
         if load_total > 0 {
-            // Blame the load with the largest clipped overlap.
-            let best = t
-                .loads
-                .get(&dev.0)
-                .and_then(|loads| {
-                    loads
-                        .iter()
-                        .map(|&(a, b, v)| {
-                            let lo = a.max(enq_at).as_nanos();
-                            let hi = b.min(window_end).as_nanos();
-                            (hi.saturating_sub(lo), v)
-                        })
-                        .max_by_key(|&(overlap, _)| overlap)
+            // Blame the load with the largest clipped overlap; ties go to
+            // the one recorded last.
+            let best = loads
+                .iter()
+                .map(|&(a, b, (seq, v))| {
+                    let lo = a.max(enq_at).as_nanos();
+                    let hi = b.min(window_end).as_nanos();
+                    (hi.saturating_sub(lo), seq, v)
                 })
-                .map(|(_, v)| v);
+                .max_by_key(|&(overlap, seq, _)| (overlap, seq))
+                .and_then(|(_, _, v)| v);
             edges.push(CausalEdge::WaitedOnLoad {
                 device: dev,
-                variant: best.flatten(),
+                variant: best,
                 stall: SimTime::from_nanos(load_total),
             });
         }
