@@ -24,6 +24,7 @@
 //! assert_eq!(config.allocation, proteus_cli::config::AllocationKind::Ilp);
 //! ```
 
+use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;
 
@@ -192,6 +193,9 @@ impl FromStr for ExperimentConfig {
 
     fn from_str(text: &str) -> Result<Self, ParseConfigError> {
         let mut config = ExperimentConfig::default();
+        // The line each key was last set on, so a failed semantic check
+        // can point at it.
+        let mut set_on: BTreeMap<&str, usize> = BTreeMap::new();
         for (idx, raw) in text.lines().enumerate() {
             let line = idx + 1;
             let content = raw.split('#').next().unwrap_or("").trim();
@@ -307,11 +311,30 @@ impl FromStr for ExperimentConfig {
                 }
                 other => return Err(bad(format!("unknown key `{other}`"))),
             }
+            set_on.insert(check_name(key), line);
         }
-        config
-            .validate()
-            .map_err(|reason| ParseConfigError { line: 0, reason })?;
+        config.check().map_err(|(keys, reason)| ParseConfigError {
+            // The later line when a check reads two keys; 0 if neither
+            // was set (the defaults pass every check, so only a mix of
+            // set and default values can fail).
+            line: keys
+                .iter()
+                .filter_map(|k| set_on.get(k).copied())
+                .max()
+                .unwrap_or(0),
+            reason,
+        })?;
         Ok(config)
+    }
+}
+
+/// `key` under the name [`ExperimentConfig::check`] gives it.
+fn check_name(key: &str) -> &str {
+    match key {
+        "realloc_period_secs" => "realloc_period",
+        "telemetry_window_secs" => "telemetry_window",
+        "telemetry_step_secs" => "telemetry_step",
+        other => other,
     }
 }
 
@@ -322,36 +345,60 @@ impl ExperimentConfig {
     ///
     /// Returns a description of the first violated requirement.
     pub fn validate(&self) -> Result<(), String> {
+        self.check().map_err(|(_, reason)| reason)
+    }
+
+    /// [`validate`](Self::validate), also naming the config keys the
+    /// violated requirement reads.
+    fn check(&self) -> Result<(), (&'static [&'static str], String)> {
         if self.trace_secs == 0 {
-            return Err("trace_secs must be positive".into());
+            return Err((&["trace_secs"], "trace_secs must be positive".into()));
         }
         if self.base_qps < 0.0 || self.peak_qps < self.base_qps {
-            return Err(format!(
-                "need 0 <= base_qps ({}) <= peak_qps ({})",
-                self.base_qps, self.peak_qps
+            return Err((
+                &["base_qps", "peak_qps"],
+                format!(
+                    "need 0 <= base_qps ({}) <= peak_qps ({})",
+                    self.base_qps, self.peak_qps
+                ),
             ));
         }
         if self.slo_multiplier <= 0.0 {
-            return Err("slo_multiplier must be positive".into());
+            return Err((
+                &["slo_multiplier"],
+                "slo_multiplier must be positive".into(),
+            ));
         }
         if self.cluster == (0, 0, 0) {
-            return Err("cluster must contain at least one device".into());
+            return Err((
+                &["cluster"],
+                "cluster must contain at least one device".into(),
+            ));
         }
         if self.realloc_period_secs <= 0.0 {
-            return Err("realloc_period must be positive".into());
+            return Err((
+                &["realloc_period"],
+                "realloc_period must be positive".into(),
+            ));
         }
         if self.beta < 1.0 {
-            return Err("beta must be >= 1.0".into());
+            return Err((&["beta"], "beta must be >= 1.0".into()));
         }
         if self.telemetry_step_secs <= 0.0 || self.telemetry_window_secs < self.telemetry_step_secs
         {
-            return Err(format!(
-                "need 0 < telemetry_step ({}) <= telemetry_window ({})",
-                self.telemetry_step_secs, self.telemetry_window_secs
+            return Err((
+                &["telemetry_step", "telemetry_window"],
+                format!(
+                    "need 0 < telemetry_step ({}) <= telemetry_window ({})",
+                    self.telemetry_step_secs, self.telemetry_window_secs
+                ),
             ));
         }
         if !(0.0 < self.telemetry_objective && self.telemetry_objective < 1.0) {
-            return Err("telemetry_objective must be in (0, 1)".into());
+            return Err((
+                &["telemetry_objective"],
+                "telemetry_objective must be in (0, 1)".into(),
+            ));
         }
         Ok(())
     }
@@ -517,6 +564,86 @@ mod tests {
         assert!(err.reason.contains("at least one device"));
         let err = "beta = 0.9".parse::<ExperimentConfig>().unwrap_err();
         assert!(err.reason.contains("beta"));
+    }
+
+    /// The line and reason `text` fails validation with.
+    fn invalid(text: &str) -> (usize, String) {
+        let err = text.parse::<ExperimentConfig>().unwrap_err();
+        (err.line, err.reason)
+    }
+
+    #[test]
+    fn trace_secs_check_reports_its_line() {
+        let (line, reason) = invalid("seed = 1\ntrace_secs = 0");
+        assert_eq!((line, reason.as_str()), (2, "trace_secs must be positive"));
+    }
+
+    #[test]
+    fn qps_check_reports_the_later_of_its_two_lines() {
+        assert_eq!(invalid("peak_qps = 10\n\nbase_qps = 20").0, 3);
+        assert_eq!(invalid("base_qps = 20\npeak_qps = 10").0, 2);
+        // Only one of the two keys set: its line.
+        let (line, reason) = invalid("seed = 3\nbase_qps = -1");
+        assert_eq!(line, 2);
+        assert!(reason.contains("base_qps"), "{reason}");
+        assert_eq!(invalid("peak_qps = 100").0, 1);
+    }
+
+    #[test]
+    fn slo_multiplier_check_reports_its_line() {
+        let (line, reason) = invalid("beta = 1.2\nslo_multiplier = 0");
+        assert_eq!(
+            (line, reason.as_str()),
+            (2, "slo_multiplier must be positive")
+        );
+    }
+
+    #[test]
+    fn cluster_check_reports_its_line() {
+        let (line, reason) = invalid("\n# none\ncluster = 0, 0, 0");
+        assert_eq!(
+            (line, reason.as_str()),
+            (3, "cluster must contain at least one device")
+        );
+    }
+
+    #[test]
+    fn realloc_period_check_reports_its_line_under_either_name() {
+        for key in ["realloc_period", "realloc_period_secs"] {
+            let (line, reason) = invalid(&format!("seed = 1\n{key} = 0"));
+            assert_eq!(
+                (line, reason.as_str()),
+                (2, "realloc_period must be positive")
+            );
+        }
+    }
+
+    #[test]
+    fn beta_check_reports_the_line_it_was_last_set_on() {
+        let err = "seed = 1\nbeta = 0.5"
+            .parse::<ExperimentConfig>()
+            .unwrap_err();
+        assert_eq!(err.to_string(), "config line 2: beta must be >= 1.0");
+        assert_eq!(invalid("beta = 0.5\nseed = 1\nbeta = 0.9").0, 3);
+    }
+
+    #[test]
+    fn telemetry_step_check_reports_the_later_of_its_two_lines() {
+        assert_eq!(invalid("telemetry_step = 5\ntelemetry_window = 2").0, 2);
+        assert_eq!(
+            invalid("telemetry_window_secs = 2\n\ntelemetry_step_secs = 5").0,
+            3
+        );
+        assert_eq!(invalid("seed = 1\ntelemetry_step = 0").0, 2);
+    }
+
+    #[test]
+    fn telemetry_objective_check_reports_its_line() {
+        let (line, reason) = invalid("telemetry = on\ntelemetry_objective = 1.5");
+        assert_eq!(
+            (line, reason.as_str()),
+            (2, "telemetry_objective must be in (0, 1)")
+        );
     }
 
     #[test]

@@ -6,13 +6,11 @@
 //!
 //! [`MemorySink`]: crate::MemorySink
 
-use std::collections::HashMap;
-
 use proteus_profiler::DeviceId;
 use proteus_sim::SimTime;
 
 use crate::event::{EventKind, TraceEvent};
-use crate::interval::{ByDevice, IntervalIndex};
+use crate::interval::{ByDevice, IdMap, IntervalIndex};
 
 /// Returns every event relevant to one query, in stream order: the events
 /// directly about it (`Arrived`, `Routed`, `Enqueued`, terminals) plus the
@@ -205,11 +203,11 @@ impl BlameReport {
 /// exactly one category by construction.
 pub fn blame(events: &[TraceEvent]) -> BlameReport {
     // Per-device timelines and per-query routing state, one pass.
-    let mut loads: HashMap<u32, Vec<(SimTime, SimTime, ())>> = HashMap::new();
-    let mut execs: HashMap<u32, Vec<(SimTime, SimTime, u64)>> = HashMap::new();
-    let mut enqueued_at: HashMap<u64, (SimTime, DeviceId)> = HashMap::new();
-    let mut serving_batch: HashMap<u64, (DeviceId, u64)> = HashMap::new();
-    let mut exec_start: HashMap<(u32, u64), SimTime> = HashMap::new();
+    let mut loads: IdMap<u32, Vec<(SimTime, SimTime, ())>> = IdMap::default();
+    let mut execs: IdMap<u32, Vec<(SimTime, SimTime, u64)>> = IdMap::default();
+    let mut enqueued_at: IdMap<u64, (SimTime, DeviceId)> = IdMap::default();
+    let mut serving_batch: IdMap<u64, (DeviceId, u64)> = IdMap::default();
+    let mut exec_start: IdMap<(u32, u64), SimTime> = IdMap::default();
     let mut solves: Vec<(SimTime, SimTime, ())> = Vec::new();
     for e in events {
         match &e.kind {

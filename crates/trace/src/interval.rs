@@ -5,10 +5,55 @@
 //! Built once per trace in O(B log B) for B intervals; each query then
 //! costs two binary searches plus the length of the slice they return,
 //! instead of a scan of the whole device timeline.
+//!
+//! The per-query tables beside it are keyed by the integer ids the trace
+//! records (query, batch, device), so they hash with [`IdHasher`].
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use proteus_sim::SimTime;
+
+/// A hash map keyed by trace ids, hashed with [`IdHasher`].
+pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
+
+/// Multiplicative hasher for integer ids (the rotate-xor-multiply step of
+/// rustc's FxHash). The ids come from a recorded trace, not from an
+/// adversary, so SipHash's collision resistance buys nothing here, and the
+/// tables are only looked up, never iterated into output, so the hasher
+/// cannot change what the analyses print.
+#[derive(Debug, Default, Clone, Copy)]
+pub(crate) struct IdHasher(u64);
+
+impl IdHasher {
+    fn add(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x51_7c_c1_b7_27_22_0a_95);
+    }
+}
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        self.0
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.add(u64::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+}
 
 /// Intervals `[start, until)` with a payload, stable-sorted by `start`.
 #[derive(Debug)]
@@ -52,11 +97,11 @@ impl<P> IntervalIndex<P> {
 
 /// One [`IntervalIndex`] per device, keyed by device number.
 #[derive(Debug)]
-pub(crate) struct ByDevice<P>(HashMap<u32, IntervalIndex<P>>);
+pub(crate) struct ByDevice<P>(IdMap<u32, IntervalIndex<P>>);
 
 impl<P> ByDevice<P> {
     /// Indexes each device's intervals.
-    pub(crate) fn new(per_device: HashMap<u32, Vec<(SimTime, SimTime, P)>>) -> Self {
+    pub(crate) fn new(per_device: IdMap<u32, Vec<(SimTime, SimTime, P)>>) -> Self {
         Self(
             per_device
                 .into_iter()

@@ -16,6 +16,12 @@ use crate::event::{AlertSeverity, DiscardReason, DropReason, EventKind, ReplanCa
 /// Serializes one event as a single JSON line (no trailing newline).
 pub fn to_jsonl(event: &TraceEvent) -> String {
     let mut s = String::with_capacity(96);
+    write_jsonl(&mut s, event);
+    s
+}
+
+/// Appends one event's JSON line (no trailing newline) to `s`.
+pub fn write_jsonl(s: &mut String, event: &TraceEvent) {
     let _ = write!(
         s,
         "{{\"t\":{},\"ev\":\"{}\"",
@@ -227,7 +233,6 @@ pub fn to_jsonl(event: &TraceEvent) -> String {
         }
     }
     s.push('}');
-    s
 }
 
 /// A failure parsing a trace line.
@@ -258,229 +263,232 @@ enum Val<'a> {
     Null,
 }
 
+/// One line's `(key, value)` pairs, in input order.
+type Fields<'a> = Vec<(Cow<'a, str>, Val<'a>)>;
+
 /// Parses one JSONL line back into a [`TraceEvent`].
 ///
 /// # Errors
 ///
 /// Returns a [`ParseEventError`] (with `line` 0) on malformed input.
 pub fn parse_line(text: &str) -> Result<TraceEvent, ParseEventError> {
-    let err = |reason: String| ParseEventError { line: 0, reason };
-    let fields = parse_object(text).map_err(err)?;
-    let get = |key: &str| -> Result<&Val, ParseEventError> {
-        fields
-            .iter()
-            .find(|(k, _)| k == key)
-            .map(|(_, v)| v)
-            .ok_or_else(|| ParseEventError {
-                line: 0,
-                reason: format!("missing field `{key}`"),
-            })
-    };
-    let int = |key: &str| -> Result<u64, ParseEventError> {
-        match get(key)? {
+    decode(text, &mut Vec::new())
+}
+
+fn err(reason: String) -> ParseEventError {
+    ParseEventError { line: 0, reason }
+}
+
+/// Typed lookups into one line's fields. On a duplicate key the first
+/// occurrence wins.
+struct Line<'f, 'a>(&'f mut Fields<'a>);
+
+impl<'a> Line<'_, 'a> {
+    fn find(&self, key: &str) -> Option<&Val<'a>> {
+        self.0.iter().find(|(k, _)| k == key).map(|(_, v)| v)
+    }
+
+    fn get(&self, key: &str) -> Result<&Val<'a>, ParseEventError> {
+        self.find(key)
+            .ok_or_else(|| err(format!("missing field `{key}`")))
+    }
+
+    fn int(&self, key: &str) -> Result<u64, ParseEventError> {
+        match self.get(key)? {
             Val::Int(n) => Ok(*n),
-            other => Err(ParseEventError {
-                line: 0,
-                reason: format!("field `{key}` is not an integer: {other:?}"),
-            }),
+            other => Err(err(format!("field `{key}` is not an integer: {other:?}"))),
         }
-    };
-    // Optional integer: absent keys yield `None` so traces written before a
-    // field existed still parse (needed by `trace-query diff` across builds).
-    let opt_int = |key: &str| -> Result<Option<u64>, ParseEventError> {
-        match fields.iter().find(|(k, _)| k == key).map(|(_, v)| v) {
+    }
+
+    /// Optional integer: absent keys yield `None` so traces written before
+    /// a field existed still parse (needed by `trace-query diff` across
+    /// builds).
+    fn opt_int(&self, key: &str) -> Result<Option<u64>, ParseEventError> {
+        match self.find(key) {
             None | Some(Val::Null) => Ok(None),
             Some(Val::Int(n)) => Ok(Some(*n)),
-            Some(other) => Err(ParseEventError {
-                line: 0,
-                reason: format!("field `{key}` is not an integer: {other:?}"),
-            }),
+            Some(other) => Err(err(format!("field `{key}` is not an integer: {other:?}"))),
         }
-    };
-    let float = |key: &str| -> Result<f64, ParseEventError> {
-        match get(key)? {
+    }
+
+    fn float(&self, key: &str) -> Result<f64, ParseEventError> {
+        match self.get(key)? {
             Val::Float(x) => Ok(*x),
             Val::Int(n) => Ok(*n as f64),
-            other => Err(ParseEventError {
-                line: 0,
-                reason: format!("field `{key}` is not a number: {other:?}"),
-            }),
+            other => Err(err(format!("field `{key}` is not a number: {other:?}"))),
         }
-    };
-    let str_ = |key: &str| -> Result<&str, ParseEventError> {
-        match get(key)? {
-            Val::Str(s) => Ok(s.as_ref()),
-            other => Err(ParseEventError {
-                line: 0,
-                reason: format!("field `{key}` is not a string: {other:?}"),
-            }),
-        }
-    };
-    let time =
-        |key: &str| -> Result<SimTime, ParseEventError> { Ok(SimTime::from_nanos(int(key)?)) };
-    let device = || -> Result<DeviceId, ParseEventError> { Ok(DeviceId(int("d")? as u32)) };
-    let family = |key: &str| -> Result<ModelFamily, ParseEventError> {
-        str_(key)?.parse().map_err(|e| ParseEventError {
-            line: 0,
-            reason: format!("{e}"),
-        })
-    };
-    let variant = |key: &str| -> Result<VariantId, ParseEventError> {
-        parse_variant(str_(key)?).ok_or_else(|| ParseEventError {
-            line: 0,
-            reason: format!("bad variant `{}`", str_(key).unwrap_or("?")),
-        })
-    };
+    }
 
-    let at = time("t")?;
-    let ev = str_("ev")?;
+    fn str_(&self, key: &str) -> Result<&str, ParseEventError> {
+        match self.get(key)? {
+            Val::Str(s) => Ok(s.as_ref()),
+            other => Err(err(format!("field `{key}` is not a string: {other:?}"))),
+        }
+    }
+
+    /// A string field converted by `from_label`; `what` names the value
+    /// in the error.
+    fn labelled<T>(
+        &self,
+        key: &str,
+        what: &str,
+        from_label: impl FnOnce(&str) -> Option<T>,
+    ) -> Result<T, ParseEventError> {
+        let s = self.str_(key)?;
+        from_label(s).ok_or_else(|| err(format!("unknown {what} `{s}`")))
+    }
+
+    fn time(&self, key: &str) -> Result<SimTime, ParseEventError> {
+        Ok(SimTime::from_nanos(self.int(key)?))
+    }
+
+    fn device(&self) -> Result<DeviceId, ParseEventError> {
+        Ok(DeviceId(self.int("d")? as u32))
+    }
+
+    fn model_family(&self, key: &str) -> Result<ModelFamily, ParseEventError> {
+        self.str_(key)?.parse().map_err(|e| err(format!("{e}")))
+    }
+
+    fn variant(&self, key: &str) -> Result<VariantId, ParseEventError> {
+        let s = self.str_(key)?;
+        parse_variant(s).ok_or_else(|| err(format!("bad variant `{s}`")))
+    }
+
+    /// A string field read by `read`, or `None` for `null`.
+    fn or_null<T>(
+        &self,
+        key: &str,
+        read: impl FnOnce(&Self, &str) -> Result<T, ParseEventError>,
+    ) -> Result<Option<T>, ParseEventError> {
+        match self.get(key)? {
+            Val::Null => Ok(None),
+            Val::Str(_) => read(self, key).map(Some),
+            other => Err(err(format!("`{key}` is not a string or null: {other:?}"))),
+        }
+    }
+
+    /// Moves an integer array out of the fields.
+    fn take_array(&mut self, key: &str) -> Result<Vec<u64>, ParseEventError> {
+        match self.0.iter_mut().find(|(k, _)| k == key).map(|(_, v)| v) {
+            Some(Val::Arr(v)) => Ok(std::mem::take(v)),
+            Some(other) => Err(err(format!("`{key}` is not an array: {other:?}"))),
+            None => Err(err(format!("missing field `{key}`"))),
+        }
+    }
+}
+
+/// [`parse_line`] with a caller-owned field buffer, so a whole document
+/// decodes without allocating one per line.
+fn decode<'a>(text: &'a str, fields: &mut Fields<'a>) -> Result<TraceEvent, ParseEventError> {
+    parse_object(text, fields).map_err(err)?;
+    let mut f = Line(fields);
+    let at = f.time("t")?;
+    let ev = f.str_("ev")?;
     let kind = match ev {
         "worker_online" => EventKind::WorkerOnline {
-            device: device()?,
-            device_type: parse_device_type(str_("type")?).ok_or_else(|| ParseEventError {
-                line: 0,
-                reason: format!("unknown device type `{}`", str_("type").unwrap_or("?")),
-            })?,
+            device: f.device()?,
+            device_type: f.labelled("type", "device type", parse_device_type)?,
         },
         "arrived" => EventKind::Arrived {
-            query: int("q")?,
-            family: family("family")?,
+            query: f.int("q")?,
+            family: f.model_family("family")?,
         },
         "routed" => EventKind::Routed {
-            query: int("q")?,
-            device: device()?,
+            query: f.int("q")?,
+            device: f.device()?,
         },
         "enqueued" => EventKind::Enqueued {
-            query: int("q")?,
-            device: device()?,
-            depth: int("depth")? as u32,
-            behind: opt_int("behind")?,
+            query: f.int("q")?,
+            device: f.device()?,
+            depth: f.int("depth")? as u32,
+            behind: f.opt_int("behind")?,
         },
         "batch_formed" => EventKind::BatchFormed {
-            device: device()?,
-            batch: int("batch")?,
-            queries: match get("queries")? {
-                Val::Arr(v) => v.clone(),
-                other => {
-                    return Err(ParseEventError {
-                        line: 0,
-                        reason: format!("`queries` is not an array: {other:?}"),
-                    })
-                }
-            },
+            device: f.device()?,
+            batch: f.int("batch")?,
+            queries: f.take_array("queries")?,
         },
         "exec_started" => EventKind::ExecStarted {
-            device: device()?,
-            batch: int("batch")?,
-            variant: variant("variant")?,
-            size: int("size")? as u32,
-            until: time("until")?,
+            device: f.device()?,
+            batch: f.int("batch")?,
+            variant: f.variant("variant")?,
+            size: f.int("size")? as u32,
+            until: f.time("until")?,
         },
         "exec_completed" => EventKind::ExecCompleted {
-            device: device()?,
-            batch: int("batch")?,
+            device: f.device()?,
+            batch: f.int("batch")?,
         },
         "served_on_time" => EventKind::ServedOnTime {
-            query: int("q")?,
-            latency: time("latency")?,
-            epoch: opt_int("epoch")?.unwrap_or(0),
+            query: f.int("q")?,
+            latency: f.time("latency")?,
+            epoch: f.opt_int("epoch")?.unwrap_or(0),
         },
         "served_late" => EventKind::ServedLate {
-            query: int("q")?,
-            latency: time("latency")?,
-            epoch: opt_int("epoch")?.unwrap_or(0),
+            query: f.int("q")?,
+            latency: f.time("latency")?,
+            epoch: f.opt_int("epoch")?.unwrap_or(0),
         },
         "dropped" => EventKind::Dropped {
-            query: int("q")?,
-            reason: DropReason::parse(str_("reason")?).ok_or_else(|| ParseEventError {
-                line: 0,
-                reason: format!("unknown drop reason `{}`", str_("reason").unwrap_or("?")),
-            })?,
+            query: f.int("q")?,
+            reason: f.labelled("reason", "drop reason", DropReason::parse)?,
         },
         "model_load_started" => EventKind::ModelLoadStarted {
-            device: device()?,
-            variant: match get("variant")? {
-                Val::Null => None,
-                Val::Str(_) => Some(variant("variant")?),
-                other => {
-                    return Err(ParseEventError {
-                        line: 0,
-                        reason: format!("`variant` is not a string or null: {other:?}"),
-                    })
-                }
-            },
-            until: time("until")?,
+            device: f.device()?,
+            variant: f.or_null("variant", Line::variant)?,
+            until: f.time("until")?,
         },
-        "model_load_finished" => EventKind::ModelLoadFinished { device: device()? },
+        "model_load_finished" => EventKind::ModelLoadFinished {
+            device: f.device()?,
+        },
         "replan_triggered" => EventKind::ReplanTriggered {
-            cause: ReplanCause::parse(str_("cause")?).ok_or_else(|| ParseEventError {
-                line: 0,
-                reason: format!("unknown replan cause `{}`", str_("cause").unwrap_or("?")),
-            })?,
+            cause: f.labelled("cause", "replan cause", ReplanCause::parse)?,
         },
         "plan_applied" => EventKind::PlanApplied {
-            changed: int("changed")? as u32,
-            shrink: float("shrink")?,
+            changed: f.int("changed")? as u32,
+            shrink: f.float("shrink")?,
         },
         "solve_stats" => EventKind::SolveStats {
-            nodes: int("nodes")?,
-            pivots: int("pivots")?,
-            warm_starts: int("warm")?,
-            wall_nanos: int("wall")?,
+            nodes: f.int("nodes")?,
+            pivots: f.int("pivots")?,
+            warm_starts: f.int("warm")?,
+            wall_nanos: f.int("wall")?,
         },
         "audit_report" => EventKind::AuditReport {
-            violations: int("violations")? as u32,
-            devices_checked: int("devices")? as u32,
-            families_checked: int("families")? as u32,
+            violations: f.int("violations")? as u32,
+            devices_checked: f.int("devices")? as u32,
+            families_checked: f.int("families")? as u32,
         },
-        "worker_crashed" => EventKind::WorkerCrashed { device: device()? },
-        "worker_recovered" => EventKind::WorkerRecovered { device: device()? },
+        "worker_crashed" => EventKind::WorkerCrashed {
+            device: f.device()?,
+        },
+        "worker_recovered" => EventKind::WorkerRecovered {
+            device: f.device()?,
+        },
         "query_retried" => EventKind::QueryRetried {
-            query: int("q")?,
-            from: DeviceId(int("from")? as u32),
-            attempt: int("attempt")? as u32,
+            query: f.int("q")?,
+            from: DeviceId(f.int("from")? as u32),
+            attempt: f.int("attempt")? as u32,
         },
         "load_failed" => EventKind::LoadFailed {
-            device: device()?,
-            variant: match get("variant")? {
-                Val::Null => None,
-                Val::Str(_) => Some(variant("variant")?),
-                other => {
-                    return Err(ParseEventError {
-                        line: 0,
-                        reason: format!("`variant` is not a string or null: {other:?}"),
-                    })
-                }
-            },
-            attempt: int("attempt")? as u32,
+            device: f.device()?,
+            variant: f.or_null("variant", Line::variant)?,
+            attempt: f.int("attempt")? as u32,
         },
         "straggler_started" => EventKind::StragglerStarted {
-            device: device()?,
-            slowdown: float("slowdown")?,
+            device: f.device()?,
+            slowdown: f.float("slowdown")?,
         },
-        "straggler_ended" => EventKind::StragglerEnded { device: device()? },
+        "straggler_ended" => EventKind::StragglerEnded {
+            device: f.device()?,
+        },
         "alert_fired" | "alert_resolved" => {
-            let scope = match get("scope")? {
-                Val::Null => None,
-                Val::Str(_) => Some(family("scope")?),
-                other => {
-                    return Err(ParseEventError {
-                        line: 0,
-                        reason: format!("`scope` is not a string or null: {other:?}"),
-                    })
-                }
-            };
-            let severity =
-                AlertSeverity::parse(str_("severity")?).ok_or_else(|| ParseEventError {
-                    line: 0,
-                    reason: format!(
-                        "unknown alert severity `{}`",
-                        str_("severity").unwrap_or("?")
-                    ),
-                })?;
-            let burn = float("burn")?;
-            let long_secs = float("long_s")?;
-            let short_secs = float("short_s")?;
+            let scope = f.or_null("scope", Line::model_family)?;
+            let severity = f.labelled("severity", "alert severity", AlertSeverity::parse)?;
+            let burn = f.float("burn")?;
+            let long_secs = f.float("long_s")?;
+            let short_secs = f.float("short_s")?;
             if ev == "alert_fired" {
                 EventKind::AlertFired {
                     scope,
@@ -500,36 +508,20 @@ pub fn parse_line(text: &str) -> Result<TraceEvent, ParseEventError> {
             }
         }
         "solve_started" | "solve_complete" | "plan_discarded" => {
-            let cause = ReplanCause::parse(str_("cause")?).ok_or_else(|| ParseEventError {
-                line: 0,
-                reason: format!("unknown replan cause `{}`", str_("cause").unwrap_or("?")),
-            })?;
+            let cause = f.labelled("cause", "replan cause", ReplanCause::parse)?;
             match ev {
                 "solve_started" => EventKind::SolveStarted {
                     cause,
-                    until: time("until")?,
+                    until: f.time("until")?,
                 },
                 "solve_complete" => EventKind::SolveComplete { cause },
                 _ => EventKind::PlanDiscarded {
                     cause,
-                    reason: DiscardReason::parse(str_("reason")?).ok_or_else(|| {
-                        ParseEventError {
-                            line: 0,
-                            reason: format!(
-                                "unknown discard reason `{}`",
-                                str_("reason").unwrap_or("?")
-                            ),
-                        }
-                    })?,
+                    reason: f.labelled("reason", "discard reason", DiscardReason::parse)?,
                 },
             }
         }
-        other => {
-            return Err(ParseEventError {
-                line: 0,
-                reason: format!("unknown event type `{other}`"),
-            })
-        }
+        other => return Err(err(format!("unknown event type `{other}`"))),
     };
     Ok(TraceEvent { at, kind })
 }
@@ -559,12 +551,15 @@ pub fn parse_jsonl_torn(
     text: &str,
 ) -> Result<(Vec<TraceEvent>, Option<ParseEventError>), ParseEventError> {
     let mut events = Vec::new();
+    // One field buffer for the whole document: each line clears and
+    // refills it.
+    let mut fields = Vec::new();
     let mut lines = text.lines().enumerate().peekable();
     while let Some((idx, line)) = lines.next() {
         if line.trim().is_empty() {
             continue;
         }
-        match parse_line(line) {
+        match decode(line, &mut fields) {
             Ok(event) => events.push(event),
             Err(mut e) => {
                 e.line = idx + 1;
@@ -596,8 +591,10 @@ fn parse_device_type(s: &str) -> Option<proteus_profiler::DeviceType> {
         .find(|t| t.label() == s)
 }
 
-/// Parses a flat JSON object into `(key, value)` pairs.
-fn parse_object(text: &str) -> Result<Vec<(Cow<'_, str>, Val<'_>)>, String> {
+/// Parses a flat JSON object into `(key, value)` pairs, replacing the
+/// contents of `fields`.
+fn parse_object<'a>(text: &'a str, fields: &mut Fields<'a>) -> Result<(), String> {
+    fields.clear();
     let mut p = Parser {
         text,
         bytes: text.as_bytes(),
@@ -605,7 +602,6 @@ fn parse_object(text: &str) -> Result<Vec<(Cow<'_, str>, Val<'_>)>, String> {
     };
     p.skip_ws();
     p.expect_byte(b'{')?;
-    let mut fields = Vec::new();
     p.skip_ws();
     if p.peek() == Some(b'}') {
         p.pos += 1;
@@ -630,7 +626,7 @@ fn parse_object(text: &str) -> Result<Vec<(Cow<'_, str>, Val<'_>)>, String> {
     if p.pos != p.bytes.len() {
         return Err("trailing characters after object".into());
     }
-    Ok(fields)
+    Ok(())
 }
 
 struct Parser<'a> {
@@ -664,36 +660,33 @@ impl<'a> Parser<'a> {
         }
     }
 
-    /// Parses a string literal. Without escapes the value is a slice of
-    /// the input; `"` and `\` are ASCII, so every position the scan stops
-    /// at is a character boundary.
+    /// Parses a string literal. Each step finds the next `"` or `\` in one
+    /// scan; without escapes the value is a slice of the input. Both bytes
+    /// are ASCII, so every position the scan stops at is a character
+    /// boundary.
     fn string(&mut self) -> Result<Cow<'a, str>, String> {
         self.expect_byte(b'"')?;
-        let text = self.text;
-        // Start of the run of input not yet copied into `owned`.
-        let mut run = self.pos;
         let mut owned: Option<String> = None;
         loop {
-            match self.next() {
-                Some(b'"') => {
-                    let tail = &text[run..self.pos - 1];
-                    return Ok(match owned {
-                        None => Cow::Borrowed(tail),
-                        Some(mut s) => {
-                            s.push_str(tail);
-                            Cow::Owned(s)
-                        }
-                    });
-                }
-                Some(b'\\') => {
-                    let s = owned.get_or_insert_with(String::new);
-                    s.push_str(&text[run..self.pos - 1]);
-                    s.push(self.escape()?);
-                    run = self.pos;
-                }
-                Some(_) => {}
-                None => return Err("unterminated string".into()),
+            let rest = self.bytes.get(self.pos..).unwrap_or_default();
+            let stop = rest
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or("unterminated string")?;
+            let run = &self.text[self.pos..self.pos + stop];
+            self.pos += stop + 1;
+            if rest[stop] == b'"' {
+                return Ok(match owned {
+                    None => Cow::Borrowed(run),
+                    Some(mut s) => {
+                        s.push_str(run);
+                        Cow::Owned(s)
+                    }
+                });
             }
+            let s = owned.get_or_insert_with(String::new);
+            s.push_str(run);
+            s.push(self.escape()?);
         }
     }
 
@@ -743,26 +736,36 @@ impl<'a> Parser<'a> {
         }))
     }
 
+    /// Parses a number token. An all-digit token is decoded as a `u64` in
+    /// the pass that scans it (`None` once it overflows); only a token with
+    /// a sign, point or exponent goes to the float parser.
     fn number(&mut self) -> Result<Val<'a>, String> {
         let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')
-        ) {
+        let mut int = Some(0u64);
+        let mut float = false;
+        while let Some(b) = self.peek() {
+            match b {
+                b'0'..=b'9' => {
+                    int = int
+                        .and_then(|n| n.checked_mul(10))
+                        .and_then(|n| n.checked_add(u64::from(b - b'0')));
+                }
+                b'-' | b'+' | b'.' | b'e' | b'E' => float = true,
+                _ => break,
+            }
             self.pos += 1;
         }
         let text = &self.text[start..self.pos];
         if text.is_empty() {
             return Err("expected a number".into());
         }
-        if text.bytes().all(|b| b.is_ascii_digit()) {
-            text.parse::<u64>()
-                .map(Val::Int)
-                .map_err(|_| format!("bad integer `{text}`"))
-        } else {
+        if float {
             text.parse::<f64>()
                 .map(Val::Float)
                 .map_err(|_| format!("bad number `{text}`"))
+        } else {
+            int.map(Val::Int)
+                .ok_or_else(|| format!("bad integer `{text}`"))
         }
     }
 
@@ -1069,6 +1072,11 @@ mod tests {
         out
     }
 
+    fn object(text: &str) -> Result<Fields<'_>, String> {
+        let mut fields = Vec::new();
+        parse_object(text, &mut fields).map(|()| fields)
+    }
+
     #[test]
     fn non_ascii_strings_round_trip() {
         for value in [
@@ -1080,12 +1088,12 @@ mod tests {
         ] {
             for ascii_only in [false, true] {
                 let text = format!("{{\"k\":{}}}", quote(value, ascii_only));
-                let fields = parse_object(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
+                let fields = object(&text).unwrap_or_else(|e| panic!("{text}: {e}"));
                 assert_eq!(fields, [("k".into(), Val::Str(value.into()))], "{text}");
             }
         }
         // The remaining escapes and a surrogate pair.
-        let fields = parse_object("{\"k\":\"\\/\\b\\f\\r\\ud83d\\ude80\"}").unwrap();
+        let fields = object("{\"k\":\"\\/\\b\\f\\r\\ud83d\\ude80\"}").unwrap();
         assert_eq!(fields[0].1, Val::Str("/\u{8}\u{c}\r\u{1f680}".into()));
         for bad in [
             "{\"k\":\"\\ud83d\"}",
@@ -1094,7 +1102,7 @@ mod tests {
             "{\"k\":\"\\x\"}",
             "{\"k\":\"open}",
         ] {
-            assert!(parse_object(bad).is_err(), "{bad} should fail");
+            assert!(object(bad).is_err(), "{bad} should fail");
         }
     }
 
@@ -1182,6 +1190,184 @@ mod tests {
                 epoch: 0,
             }
         );
+    }
+
+    fn arrived(query: u64) -> EventKind {
+        EventKind::Arrived {
+            query,
+            family: ModelFamily::ResNet,
+        }
+    }
+
+    #[test]
+    fn duplicate_keys_keep_the_first_occurrence() {
+        let e = parse_line(
+            "{\"t\":1,\"ev\":\"arrived\",\"q\":5,\"q\":6,\"family\":\"ResNet\",\"t\":9}",
+        )
+        .unwrap();
+        assert_eq!(
+            e,
+            TraceEvent {
+                at: SimTime::from_nanos(1),
+                kind: arrived(5)
+            }
+        );
+        // The first value is used even when a later duplicate would parse.
+        let err =
+            parse_line("{\"t\":1,\"ev\":\"arrived\",\"q\":\"x\",\"q\":6,\"family\":\"ResNet\"}")
+                .unwrap_err();
+        assert_eq!(err.reason, "field `q` is not an integer: Str(\"x\")");
+    }
+
+    #[test]
+    fn unknown_keys_are_ignored() {
+        let e = parse_line(
+            "{\"zz\":\"x\",\"t\":1,\"extra\":[1,2],\"ev\":\"arrived\",\"n\":null,\
+             \"q\":5,\"f\":-1.5e3,\"family\":\"ResNet\",\"esc\":\"a\\nb\"}",
+        )
+        .unwrap();
+        assert_eq!(
+            e,
+            TraceEvent {
+                at: SimTime::from_nanos(1),
+                kind: arrived(5)
+            }
+        );
+    }
+
+    #[test]
+    fn keys_in_any_order_with_whitespace_parse() {
+        let e = parse_line(
+            " \t{ \"family\" : \"ResNet\" ,\t\"q\":\r5 , \"ev\" :\"arrived\",\"t\" : 1 } \r",
+        )
+        .unwrap();
+        assert_eq!(
+            e,
+            TraceEvent {
+                at: SimTime::from_nanos(1),
+                kind: arrived(5)
+            }
+        );
+        let e = parse_line(
+            "{\"queries\" : [ 4 , 5,6 ] ,\"batch\":2, \"d\":1,\"ev\":\"batch_formed\",\"t\":3}",
+        )
+        .unwrap();
+        assert_eq!(
+            e.kind,
+            EventKind::BatchFormed {
+                device: DeviceId(1),
+                batch: 2,
+                queries: vec![4, 5, 6],
+            }
+        );
+    }
+
+    #[test]
+    fn integers_past_u64_fail_with_bad_integer() {
+        let max = format!(
+            "{{\"t\":{},\"ev\":\"arrived\",\"q\":0,\"family\":\"ResNet\"}}",
+            u64::MAX
+        );
+        assert_eq!(parse_line(&max).unwrap().at.as_nanos(), u64::MAX);
+        for text in [
+            "{\"t\":18446744073709551616,\"ev\":\"arrived\",\"q\":0,\"family\":\"ResNet\"}",
+            "{\"t\":1,\"ev\":\"batch_formed\",\"d\":0,\"batch\":1,\"queries\":[1,18446744073709551616]}",
+        ] {
+            let err = parse_line(text).unwrap_err();
+            assert_eq!(err.reason, "bad integer `18446744073709551616`", "{text}");
+        }
+        // Signs, fractions and exponents make a float, which no id field takes.
+        let err =
+            parse_line("{\"t\":1,\"ev\":\"arrived\",\"q\":1e3,\"family\":\"ResNet\"}").unwrap_err();
+        assert_eq!(err.reason, "field `q` is not an integer: Float(1000.0)");
+        let err =
+            parse_line("{\"t\":1,\"ev\":\"arrived\",\"q\":1-,\"family\":\"ResNet\"}").unwrap_err();
+        assert_eq!(err.reason, "bad number `1-`");
+    }
+
+    #[test]
+    fn non_array_queries_is_an_error() {
+        for (value, shown) in [
+            ("5", "Int(5)"),
+            ("null", "Null"),
+            ("\"1,2\"", "Str(\"1,2\")"),
+        ] {
+            let text = format!(
+                "{{\"t\":1,\"ev\":\"batch_formed\",\"d\":0,\"batch\":1,\"queries\":{value}}}"
+            );
+            let err = parse_line(&text).unwrap_err();
+            assert_eq!(
+                err.reason,
+                format!("`queries` is not an array: {shown}"),
+                "{text}"
+            );
+        }
+        let err =
+            parse_line("{\"t\":1,\"ev\":\"batch_formed\",\"d\":0,\"batch\":1,\"queries\":[1.5]}")
+                .unwrap_err();
+        assert_eq!(err.reason, "array item is not an integer: Float(1.5)");
+    }
+
+    #[test]
+    fn escaped_string_then_plain_string_both_decode() {
+        let e = parse_line(
+            "{\"t\":1,\"ev\":\"alert_fired\",\"scope\":\"Res\\u004eet\",\"severity\":\"page\",\
+             \"burn\":1.5,\"long_s\":300,\"short_s\":60}",
+        )
+        .unwrap();
+        assert_eq!(
+            e.kind,
+            EventKind::AlertFired {
+                scope: Some(ModelFamily::ResNet),
+                severity: AlertSeverity::Page,
+                burn: 1.5,
+                long_secs: 300.0,
+                short_secs: 60.0,
+            }
+        );
+        // Escaped key, then plain key and value; escaped value, then plain.
+        let e =
+            parse_line("{\"\\u0074\":1,\"ev\":\"arr\\u0069ved\",\"q\":5,\"family\":\"ResNet\"}")
+                .unwrap();
+        assert_eq!(
+            e,
+            TraceEvent {
+                at: SimTime::from_nanos(1),
+                kind: arrived(5)
+            }
+        );
+        let err = parse_line("{\"t\":1,\"ev\":\"a\\\"b\\\\\",\"q\":\"plain\"}").unwrap_err();
+        assert_eq!(err.reason, "unknown event type `a\"b\\`");
+    }
+
+    #[test]
+    fn error_texts_are_stable() {
+        for (text, reason) in [
+            ("", "expected `{`, got None"),
+            ("{\"t\":1", "expected `,` or `}`, got None"),
+            ("{\"t\":1,\"ev\":\"arrived\"}", "missing field `q`"),
+            ("{\"t\":\"1\"}", "field `t` is not an integer: Str(\"1\")"),
+            ("{\"t\":1,\"ev\":2}", "field `ev` is not a string: Int(2)"),
+            (
+                "{\"t\":1,\"ev\":\"plan_applied\",\"changed\":1,\"shrink\":\"x\"}",
+                "field `shrink` is not a number: Str(\"x\")",
+            ),
+            (
+                "{\"t\":1,\"ev\":\"exec_started\",\"d\":0,\"batch\":1,\"variant\":\"ResNet\",\"size\":1,\"until\":2}",
+                "bad variant `ResNet`",
+            ),
+            (
+                "{\"t\":1,\"ev\":\"load_failed\",\"d\":0,\"variant\":3,\"attempt\":1}",
+                "`variant` is not a string or null: Int(3)",
+            ),
+            ("{\"t\":1,\"ev\":\"arrived\",\"q\":x}", "expected a number"),
+            ("{\"t\":1,\"ev\":\"arrived\",\"q\":nul}", "expected `null`"),
+            ("{\"t\":1,\"ev\":\"arr", "unterminated string"),
+            ("{\"t\":1} {", "trailing characters after object"),
+            ("{\"t\":1,\"ev\":[1 2]}", "expected `,` or `]`, got Some(50)"),
+        ] {
+            assert_eq!(parse_line(text).unwrap_err().reason, reason, "{text}");
+        }
     }
 
     #[test]

@@ -86,6 +86,8 @@ impl TraceSink for MemorySink {
 #[derive(Debug)]
 pub struct JsonlSink<W: Write> {
     out: W,
+    /// The line being written, reused across events.
+    line: String,
     written: u64,
     error: Option<io::Error>,
 }
@@ -106,6 +108,7 @@ impl<W: Write> JsonlSink<W> {
     pub fn new(out: W) -> Self {
         Self {
             out,
+            line: String::with_capacity(128),
             written: 0,
             error: None,
         }
@@ -140,12 +143,10 @@ impl<W: Write> TraceSink for JsonlSink<W> {
         if self.error.is_some() {
             return;
         }
-        let line = json::to_jsonl(event);
-        let result = self
-            .out
-            .write_all(line.as_bytes())
-            .and_then(|()| self.out.write_all(b"\n"));
-        match result {
+        self.line.clear();
+        json::write_jsonl(&mut self.line, event);
+        self.line.push('\n');
+        match self.out.write_all(self.line.as_bytes()) {
             Ok(()) => self.written += 1,
             Err(e) => self.error = Some(e),
         }

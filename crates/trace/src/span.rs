@@ -24,13 +24,11 @@
 //! every trace — the property tests in `proteus-core` drive this over
 //! chaos schedules).
 
-use std::collections::HashMap;
-
 use proteus_profiler::{DeviceId, ModelFamily, VariantId};
 use proteus_sim::SimTime;
 
 use crate::event::{DropReason, EventKind, TraceEvent};
-use crate::interval::{ByDevice, IntervalIndex};
+use crate::interval::{ByDevice, IdMap, IntervalIndex};
 
 /// One additive critical-path segment class.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -233,26 +231,26 @@ struct Timelines {
     /// solve is in flight).
     solves: IntervalIndex<()>,
     /// Query → arrival `(at, family)`.
-    arrived: HashMap<u64, (SimTime, ModelFamily)>,
+    arrived: IdMap<u64, (SimTime, ModelFamily)>,
     /// Query → final placement `(at, device, behind)`.
-    enqueued: HashMap<u64, (SimTime, DeviceId, Option<u64>)>,
+    enqueued: IdMap<u64, (SimTime, DeviceId, Option<u64>)>,
     /// Query → batches it was ever a member of (`(device, batch)`).
-    member_of: HashMap<u64, Vec<(u32, u64)>>,
+    member_of: IdMap<u64, Vec<(u32, u64)>>,
     /// `(device, batch)` → exec start.
-    exec_start: HashMap<(u32, u64), SimTime>,
+    exec_start: IdMap<(u32, u64), SimTime>,
     /// Query → crash-salvage retries `(from, attempt)`.
-    retries: HashMap<u64, Vec<(DeviceId, u32)>>,
+    retries: IdMap<u64, Vec<(DeviceId, u32)>>,
 }
 
 fn harvest(events: &[TraceEvent]) -> Timelines {
-    let mut execs: HashMap<u32, Vec<_>> = HashMap::new();
-    let mut loads: HashMap<u32, Vec<_>> = HashMap::new();
+    let mut execs: IdMap<u32, Vec<_>> = IdMap::default();
+    let mut loads: IdMap<u32, Vec<_>> = IdMap::default();
     let mut solves = Vec::new();
-    let mut arrived = HashMap::new();
-    let mut enqueued = HashMap::new();
-    let mut member_of: HashMap<u64, Vec<_>> = HashMap::new();
-    let mut exec_start = HashMap::new();
-    let mut retries: HashMap<u64, Vec<_>> = HashMap::new();
+    let mut arrived = IdMap::default();
+    let mut enqueued = IdMap::default();
+    let mut member_of: IdMap<u64, Vec<_>> = IdMap::default();
+    let mut exec_start = IdMap::default();
+    let mut retries: IdMap<u64, Vec<_>> = IdMap::default();
     for (i, e) in events.iter().enumerate() {
         match &e.kind {
             EventKind::Arrived { query, family } => {
@@ -359,7 +357,8 @@ pub(crate) fn sweep(
         return;
     }
     let (s, e) = (start.as_nanos(), end.as_nanos());
-    let mut cuts: Vec<u64> = vec![s, e];
+    let mut cuts: Vec<u64> = Vec::with_capacity(2 + 2 * intervals.len());
+    cuts.extend([s, e]);
     for &(a, b, _) in intervals {
         let (a, b) = (a.as_nanos(), b.as_nanos());
         if b > s && a < e {
@@ -402,7 +401,12 @@ pub(crate) fn push_span(out: &mut Vec<Span>, segment: Segment, lo: u64, hi: u64)
 
 /// Builds the span tree of one terminal event. `terminal` is the
 /// `Served*`/`Dropped` event; returns `None` for non-terminal kinds.
-fn build_tree(t: &Timelines, terminal: &TraceEvent) -> Option<SpanTree> {
+/// `intervals` is scratch space, reused across calls.
+fn build_tree(
+    t: &Timelines,
+    terminal: &TraceEvent,
+    intervals: &mut Vec<(SimTime, SimTime, Class)>,
+) -> Option<SpanTree> {
     let (query, outcome, epoch) = match &terminal.kind {
         EventKind::ServedOnTime { query, epoch, .. } => (*query, Outcome::OnTime, *epoch),
         EventKind::ServedLate { query, epoch, .. } => (*query, Outcome::Late, *epoch),
@@ -452,7 +456,7 @@ fn build_tree(t: &Timelines, terminal: &TraceEvent) -> Option<SpanTree> {
         // Only intervals overlapping the wait window can cover any of it,
         // so the index's run yields the same partition and edges as the
         // device's whole timeline would.
-        let mut intervals: Vec<(SimTime, SimTime, Class)> = Vec::new();
+        intervals.clear();
         for &(a, b, batch) in t.execs.overlapping(dev.0, enq_at, window_end) {
             let class = if own.contains(&(dev.0, batch)) {
                 Class::OwnExec
@@ -468,7 +472,7 @@ fn build_tree(t: &Timelines, terminal: &TraceEvent) -> Option<SpanTree> {
         for &(a, b, ()) in t.solves.overlapping(enq_at, window_end) {
             intervals.push((a, b, Class::Solve));
         }
-        sweep(enq_at, window_end, &intervals, &mut spans);
+        sweep(enq_at, window_end, intervals, &mut spans);
         // The query's own execution: exec start → terminal.
         push_span(
             &mut spans,
@@ -542,7 +546,11 @@ fn build_tree(t: &Timelines, terminal: &TraceEvent) -> Option<SpanTree> {
 /// order.
 pub fn span_trees(events: &[TraceEvent]) -> Vec<SpanTree> {
     let t = harvest(events);
-    events.iter().filter_map(|e| build_tree(&t, e)).collect()
+    let mut scratch = Vec::new();
+    events
+        .iter()
+        .filter_map(|e| build_tree(&t, e, &mut scratch))
+        .collect()
 }
 
 /// The span tree of one query, if it reached a terminal event.
@@ -551,7 +559,7 @@ pub fn span_tree(events: &[TraceEvent], query: u64) -> Option<SpanTree> {
     events
         .iter()
         .filter(|e| e.kind.query() == Some(query) && e.kind.is_terminal())
-        .find_map(|e| build_tree(&t, e))
+        .find_map(|e| build_tree(&t, e, &mut Vec::new()))
 }
 
 /// Renders collapsed-stack (inferno/speedscope-compatible) lines from span
@@ -559,19 +567,21 @@ pub fn span_tree(events: &[TraceEvent], query: u64) -> Option<SpanTree> {
 /// aggregate, sorted for deterministic output. Feed the result to any
 /// flamegraph renderer to see where the cluster's latency went.
 pub fn collapse_flame(trees: &[SpanTree]) -> String {
-    let mut agg: HashMap<(String, String, Segment), u64> = HashMap::new();
+    let mut agg: IdMap<(Option<ModelFamily>, Option<DeviceId>, Segment), u64> = IdMap::default();
     for tree in trees {
-        let family = tree.family.map_or("unknown", |f| f.label()).to_string();
-        let device = tree.device.map_or("none".to_string(), |d| d.to_string());
         for s in &tree.spans {
-            *agg.entry((family.clone(), device.clone(), s.segment))
+            *agg.entry((tree.family, tree.device, s.segment))
                 .or_insert(0) += s.dur().as_nanos();
         }
     }
+    // Labels are distinct per key, so sorting the formatted lines gives
+    // the same order whatever the map's.
     let mut lines: Vec<String> = agg
         .into_iter()
         .filter(|&(_, nanos)| nanos >= 1_000)
         .map(|((family, device, segment), nanos)| {
+            let family = family.map_or("unknown", |f| f.label());
+            let device = device.map_or("none".to_string(), |d| d.to_string());
             format!("{family};{device};{} {}", segment.label(), nanos / 1_000)
         })
         .collect();
