@@ -16,8 +16,8 @@ use std::process::ExitCode;
 use proteus_metrics::report::{fmt_f, json_escape, waterfall_bar, TextTable};
 use proteus_trace::{
     blame, collapse_flame, diff_traces, parse_jsonl_torn, query_lifecycle, span_tree, span_trees,
-    BlameCause, BlameVerdict, CausalEdge, DiffReport, EventKind, LifecycleStats, Segment, SpanTree,
-    TraceEvent,
+    BlameCause, BlameReport, BlameVerdict, CausalEdge, DiffReport, EventKind, LifecycleStats,
+    Segment, SpanTree, TraceEvent,
 };
 
 const USAGE: &str = "\
@@ -163,9 +163,9 @@ fn main() -> ExitCode {
                 }
             }
             if opts.json {
-                render_blame_json(&events, &opts)
+                render_blame_json(&events, &report, &opts)
             } else {
-                render_blame(&events, &opts)
+                render_blame(&events, &report, &opts)
             }
         }
         "summary" => render_summary(&events),
@@ -573,9 +573,8 @@ fn render_diff(d: &DiffReport, opts: &Opts, failed: bool) -> String {
 }
 
 /// `trace-query <file> blame --json`: machine-readable verdicts for CI.
-fn render_blame_json(events: &[TraceEvent], opts: &Opts) -> String {
+fn render_blame_json(events: &[TraceEvent], report: &BlameReport, opts: &Opts) -> String {
     let stats = LifecycleStats::from_events(events);
-    let report = blame(events);
     let mut out = String::from("{");
     let _ = write!(
         out,
@@ -632,9 +631,8 @@ fn render_blame_json(events: &[TraceEvent], opts: &Opts) -> String {
 }
 
 /// `trace-query <file> blame`: per-cause counts, then every verdict.
-fn render_blame(events: &[TraceEvent], opts: &Opts) -> String {
+fn render_blame(events: &[TraceEvent], report: &BlameReport, opts: &Opts) -> String {
     let stats = LifecycleStats::from_events(events);
-    let report = blame(events);
     let mut out = format!(
         "{} SLO violations out of {} queries\n",
         report.total(),
@@ -846,7 +844,8 @@ mod tests {
 
     #[test]
     fn blame_report_totals_add_up() {
-        let out = render_blame(&sample(), &Opts::default());
+        let events = sample();
+        let out = render_blame(&events, &blame(&events), &Opts::default());
         assert!(out.contains("1 SLO violations out of 1 queries"));
         assert!(out.contains("batch_wait"));
         assert!(out.contains("100.0"));
@@ -858,7 +857,8 @@ mod tests {
             deny: vec![(BlameCause::BatchWait, 0), (BlameCause::Queueing, 5)],
             ..Opts::default()
         };
-        let out = render_blame(&sample(), &opts);
+        let events = sample();
+        let out = render_blame(&events, &blame(&events), &opts);
         assert!(out.contains("DENY: batch_wait count 1 exceeds threshold 0"));
         assert!(!out.contains("DENY: queueing"));
     }
@@ -869,7 +869,8 @@ mod tests {
             deny: vec![(BlameCause::BatchWait, 0)],
             ..Opts::default()
         };
-        let out = render_blame_json(&sample(), &opts);
+        let events = sample();
+        let out = render_blame_json(&events, &blame(&events), &opts);
         assert!(
             out.starts_with('{') && out.trim_end().ends_with('}'),
             "{out}"

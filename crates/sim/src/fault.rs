@@ -202,6 +202,10 @@ impl FromStr for FaultSchedule {
                 .filter(|x| x.is_finite() && *x >= 0.0)
                 .ok_or_else(|| err(format!("`{v}` is not a non-negative number")))
         };
+        let secs = |v: &str| -> Result<SimTime, ParseFaultError> {
+            SimTime::checked_from_secs_f64(num(v)?)
+                .ok_or_else(|| err(format!("`{v}` seconds is past the end of simulated time")))
+        };
         let dev = |v: &str| -> Result<u32, ParseFaultError> {
             v.trim()
                 .parse::<u32>()
@@ -218,10 +222,10 @@ impl FromStr for FaultSchedule {
             };
             match verb.trim() {
                 "crash" | "recover" => {
-                    let Some((secs, device)) = rest.split_once(':') else {
+                    let Some((at, device)) = rest.split_once(':') else {
                         return Err(err(format!("`{clause}` needs `<secs>:<device>`")));
                     };
-                    let at = SimTime::from_secs_f64(num(secs)?);
+                    let at = secs(at)?;
                     let device = dev(device)?;
                     schedule.events.push(FaultEvent {
                         at,
@@ -246,20 +250,20 @@ impl FromStr for FaultSchedule {
                             "`{clause}` needs a `<device>x<factor>` target"
                         )));
                     };
-                    let (start, end) = (num(start)?, num(end)?);
+                    let (start, end) = (secs(start)?, secs(end)?);
                     if end <= start {
                         return Err(err(format!("`{clause}` window must end after it starts")));
                     }
                     let device = dev(device)?;
                     schedule.events.push(FaultEvent {
-                        at: SimTime::from_secs_f64(start),
+                        at: start,
                         kind: FaultKind::StragglerStart {
                             device,
                             slowdown: num(factor)?,
                         },
                     });
                     schedule.events.push(FaultEvent {
-                        at: SimTime::from_secs_f64(end),
+                        at: end,
                         kind: FaultKind::StragglerEnd { device },
                     });
                 }
@@ -364,6 +368,21 @@ mod tests {
         ] {
             assert!(bad.parse::<FaultSchedule>().is_err(), "{bad:?} should fail");
         }
+    }
+
+    #[test]
+    fn rejects_times_past_the_end_of_simulated_time() {
+        // u64::MAX nanoseconds is about 18446744073.7 s.
+        for bad in [
+            "crash@1e300:1",
+            "recover@18446744074:0",
+            "slow@0-1e20:1x2",
+            "slow@1e300-1e301:1x2",
+        ] {
+            let e = bad.parse::<FaultSchedule>().unwrap_err();
+            assert!(e.reason.contains("past the end"), "{bad:?}: {e}");
+        }
+        assert!("crash@18446744073:0".parse::<FaultSchedule>().is_ok());
     }
 
     #[test]

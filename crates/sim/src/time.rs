@@ -57,13 +57,20 @@ impl SimTime {
     ///
     /// Panics if `secs` is negative, non-finite, or too large to represent.
     pub fn from_secs_f64(secs: f64) -> Self {
+        let time = Self::checked_from_secs_f64(secs);
         assert!(
-            secs.is_finite() && secs >= 0.0,
-            "SimTime requires a finite non-negative number of seconds, got {secs}"
+            time.is_some(),
+            "SimTime requires a finite non-negative number of seconds that fits, got {secs}"
         );
+        time.unwrap_or(SimTime::ZERO)
+    }
+
+    /// [`SimTime::from_secs_f64`] for untrusted input: `None` where that
+    /// panics (negative, non-finite, or too large to represent).
+    pub fn checked_from_secs_f64(secs: f64) -> Option<Self> {
         let nanos = secs * 1e9;
-        assert!(nanos <= u64::MAX as f64, "SimTime overflow: {secs} s");
-        SimTime(nanos.round() as u64)
+        (secs.is_finite() && secs >= 0.0 && nanos <= u64::MAX as f64)
+            .then(|| SimTime(nanos.round() as u64))
     }
 
     /// Creates a time from fractional milliseconds, rounding to the nearest
@@ -180,6 +187,18 @@ mod tests {
         assert_eq!(SimTime::from_secs_f64(1.5), SimTime::from_millis(1500));
         assert_eq!(SimTime::from_millis_f64(2.5), SimTime::from_micros(2500));
         assert!((SimTime::from_nanos(1_234_567).as_millis_f64() - 1.234567).abs() < 1e-12);
+    }
+
+    #[test]
+    fn checked_from_secs_f64_refuses_what_from_secs_f64_panics_on() {
+        assert_eq!(
+            SimTime::checked_from_secs_f64(1.5),
+            Some(SimTime::from_secs_f64(1.5))
+        );
+        assert_eq!(SimTime::checked_from_secs_f64(0.0), Some(SimTime::ZERO));
+        for bad in [-1.0, f64::NAN, f64::INFINITY, 1e300, 1.9e10] {
+            assert_eq!(SimTime::checked_from_secs_f64(bad), None, "{bad}");
+        }
     }
 
     #[test]

@@ -2,15 +2,18 @@
 //! SLO-violation blame attribution.
 //!
 //! Both analyses operate on a recorded event stream (from a [`MemorySink`]
-//! or a parsed JSONL file) and power the `trace-query` binary.
+//! or a parsed JSONL file) and power the `trace-query` binary. Blame keeps
+//! no timeline of its own: each verdict is a fold over the violating
+//! query's span tree ([`crate::span`]), so the blame report and the
+//! critical-path waterfall are two views of one latency decomposition.
 //!
 //! [`MemorySink`]: crate::MemorySink
 
 use proteus_profiler::DeviceId;
 use proteus_sim::SimTime;
 
-use crate::event::{EventKind, TraceEvent};
-use crate::interval::{ByDevice, IdMap, IntervalIndex};
+use crate::event::{DropReason, EventKind, TraceEvent};
+use crate::span::{build_tree, harvest, Outcome, Segment, SpanTree, Timelines, Window};
 
 /// Returns every event relevant to one query, in stream order: the events
 /// directly about it (`Arrived`, `Routed`, `Enqueued`, terminals) plus the
@@ -131,7 +134,8 @@ pub struct BlameVerdict {
     pub at: SimTime,
     /// The dominant cause.
     pub cause: BlameCause,
-    /// Portion of the wait window the worker spent executing other batches.
+    /// Portion of the wait window the worker spent executing other batches
+    /// (or a batch of the query's own that a crash then rolled back).
     pub queueing: SimTime,
     /// Portion of the wait window the worker spent loading a model.
     pub model_load: SimTime,
@@ -143,6 +147,21 @@ pub struct BlameVerdict {
     /// participate in `cause` selection, since a solve window and (say) a
     /// busy worker can cover the same nanoseconds.
     pub stale_plan: SimTime,
+}
+
+impl BlameVerdict {
+    /// A verdict with no wait-window components.
+    fn bare(query: u64, at: SimTime, cause: BlameCause) -> Self {
+        Self {
+            query,
+            at,
+            cause,
+            queueing: SimTime::ZERO,
+            model_load: SimTime::ZERO,
+            batch_wait: SimTime::ZERO,
+            stale_plan: SimTime::ZERO,
+        }
+    }
 }
 
 /// Blame attribution over a whole trace.
@@ -179,22 +198,23 @@ impl BlameReport {
 /// Violations are `ServedLate` and `Dropped` terminals. Drops caused by a
 /// crashed device (`device_failed`) are blamed on the failure itself; the
 /// remaining shed drops (`queue_full`, `no_host`, `drained`) are blamed on
-/// admission directly.
-/// For the rest, the query's *wait window* — from its (last) `Enqueued` to
-/// the start of the batch that served it (late responses) or to the drop
-/// instant (expiries) — is decomposed against the worker's recorded
-/// timeline:
+/// admission directly. Neither needs a span tree.
+/// Every other violation is read off the query's [`SpanTree`] over its
+/// *wait window* `[placement, serving exec start)`, which closes at the
+/// drop instant for expiries:
 ///
-/// * overlap with `ModelLoadStarted..until` intervals → **model-load stall**;
-/// * overlap with *other* batches' `ExecStarted..until` intervals →
-///   **queueing delay**;
-/// * the remainder → **batch-wait** (the worker was idle but the batching
-///   policy held the query back).
+/// * the tree's `load` total → **model-load stall**;
+/// * its `stale_plan` plus `batch_wait` totals → **batch-wait** (the worker
+///   was idle, or the batching policy held the query back), plus any time
+///   the query's own serving batch ran inside the window (only a batch that
+///   started before the final placement can);
+/// * the rest of the window → **queueing delay**: the tree's `queue` total,
+///   plus any batch of the query's own that a crash rolled back inside it.
 ///
-/// Independently of cause selection, each decomposed verdict also records
-/// how much of its wait window overlapped a control-plane solve window
-/// (`SolveStarted..until`) as [`BlameVerdict::stale_plan`] — time spent
-/// waiting while the system was still serving under a stale plan.
+/// The three components tile the window. Independently of cause selection,
+/// each decomposed verdict also records how much of its wait window
+/// overlapped a control-plane solve window (`SolveStarted..until`) as
+/// [`BlameVerdict::stale_plan`], busy or not.
 ///
 /// The largest component wins; ties break queueing → model-load →
 /// batch-wait. A zero-length window means waiting was not the problem:
@@ -202,155 +222,85 @@ impl BlameReport {
 /// deadline) and expiries on queueing. Every violation therefore lands in
 /// exactly one category by construction.
 pub fn blame(events: &[TraceEvent]) -> BlameReport {
-    // Per-device timelines and per-query routing state, one pass.
-    let mut loads: IdMap<u32, Vec<(SimTime, SimTime, ())>> = IdMap::default();
-    let mut execs: IdMap<u32, Vec<(SimTime, SimTime, u64)>> = IdMap::default();
-    let mut enqueued_at: IdMap<u64, (SimTime, DeviceId)> = IdMap::default();
-    let mut serving_batch: IdMap<u64, (DeviceId, u64)> = IdMap::default();
-    let mut exec_start: IdMap<(u32, u64), SimTime> = IdMap::default();
-    let mut solves: Vec<(SimTime, SimTime, ())> = Vec::new();
-    for e in events {
-        match &e.kind {
-            EventKind::SolveStarted { until, .. } => {
-                solves.push((e.at, *until, ()));
-            }
-            EventKind::ModelLoadStarted { device, until, .. } => {
-                loads.entry(device.0).or_default().push((e.at, *until, ()));
-            }
-            EventKind::ExecStarted {
-                device,
-                batch,
-                until,
-                ..
-            } => {
-                execs
-                    .entry(device.0)
-                    .or_default()
-                    .push((e.at, *until, *batch));
-                exec_start.insert((device.0, *batch), e.at);
-            }
-            EventKind::Enqueued { query, device, .. } => {
-                enqueued_at.insert(*query, (e.at, *device));
-            }
-            EventKind::BatchFormed {
-                device,
-                batch,
-                queries,
-            } => {
-                for q in queries {
-                    serving_batch.insert(*q, (*device, *batch));
+    let t = harvest(events);
+    let mut scratch = Vec::new();
+    let verdicts = events
+        .iter()
+        .filter_map(|e| {
+            match e.kind {
+                EventKind::ServedLate { .. } => {}
+                EventKind::Dropped { query, reason } => {
+                    if let Some(cause) = undecomposed(reason) {
+                        return Some(BlameVerdict::bare(query, e.at, cause));
+                    }
                 }
+                _ => return None,
             }
-            _ => {}
-        }
+            let (tree, wait) = build_tree(&t, e, &mut scratch)?;
+            verdict(&t, &tree, wait)
+        })
+        .collect();
+    BlameReport { verdicts }
+}
+
+/// The cause of a drop that has no wait window to decompose.
+fn undecomposed(reason: DropReason) -> Option<BlameCause> {
+    if reason == DropReason::DeviceFailed {
+        Some(BlameCause::DeviceFailure)
+    } else if reason.is_shed() {
+        Some(BlameCause::Shed)
+    } else {
+        None
     }
-    let loads = ByDevice::new(loads);
-    let execs = ByDevice::new(execs);
-    let solves = IntervalIndex::new(solves);
+}
 
-    let overlap = |a0: SimTime, a1: SimTime, b0: SimTime, b1: SimTime| -> u64 {
-        let lo = a0.max(b0).as_nanos();
-        let hi = a1.min(b1).as_nanos();
-        hi.saturating_sub(lo)
+/// Folds one query's span tree and wait window into its verdict; `None`
+/// when the query met its SLO.
+pub(crate) fn verdict(
+    t: &Timelines,
+    tree: &SpanTree,
+    (lo, hi, serving_exec): Window,
+) -> Option<BlameVerdict> {
+    let expired = match tree.outcome {
+        Outcome::OnTime => return None,
+        Outcome::Late => false,
+        Outcome::Dropped(reason) => match undecomposed(reason) {
+            Some(cause) => return Some(BlameVerdict::bare(tree.query, tree.end, cause)),
+            None => true,
+        },
     };
-
-    let mut report = BlameReport::default();
-    for e in events {
-        let (query, window_end, expired) = match &e.kind {
-            EventKind::ServedLate { query, .. } => {
-                let end = serving_batch
-                    .get(query)
-                    .and_then(|&(d, b)| exec_start.get(&(d.0, b)))
-                    .copied();
-                (*query, end, false)
-            }
-            EventKind::Dropped { query, reason } => {
-                if *reason == crate::event::DropReason::DeviceFailed {
-                    report.verdicts.push(BlameVerdict {
-                        query: *query,
-                        at: e.at,
-                        cause: BlameCause::DeviceFailure,
-                        queueing: SimTime::ZERO,
-                        model_load: SimTime::ZERO,
-                        batch_wait: SimTime::ZERO,
-                        stale_plan: SimTime::ZERO,
-                    });
-                    continue;
-                }
-                if reason.is_shed() {
-                    report.verdicts.push(BlameVerdict {
-                        query: *query,
-                        at: e.at,
-                        cause: BlameCause::Shed,
-                        queueing: SimTime::ZERO,
-                        model_load: SimTime::ZERO,
-                        batch_wait: SimTime::ZERO,
-                        stale_plan: SimTime::ZERO,
-                    });
-                    continue;
-                }
-                (*query, Some(e.at), true)
-            }
-            _ => continue,
-        };
-
-        let (start, device) = match enqueued_at.get(&query) {
-            Some(&(t, d)) => (t, d),
-            // Never enqueued (shouldn't happen for non-shed terminals):
-            // treat as a zero-length window.
-            None => (e.at, DeviceId(u32::MAX)),
-        };
-        let end = window_end.unwrap_or(start);
-        let own_batch = serving_batch.get(&query).copied();
-
-        // Intervals outside the index's run overlap the window by zero, so
-        // the sums below equal sums over the device's whole timeline.
-        let load_ns: u64 = loads
-            .overlapping(device.0, start, end)
-            .iter()
-            .map(|&(a, b, ())| overlap(start, end, a, b))
-            .sum();
-        let busy_ns: u64 = execs
-            .overlapping(device.0, start, end)
-            .iter()
-            .filter(|&&(_, _, b)| own_batch != Some((device, b)))
-            .map(|&(a, b, _)| overlap(start, end, a, b))
-            .sum();
-        let window_ns = end.saturating_sub(start).as_nanos();
-        let wait_ns = window_ns.saturating_sub(load_ns + busy_ns);
-        // Solve windows never overlap each other (at most one solve is in
-        // flight), so a plain sum is the true overlap.
-        let stale_ns: u64 = solves
-            .overlapping(start, end)
-            .iter()
-            .map(|&(a, b, ())| overlap(start, end, a, b))
-            .sum();
-
-        let cause = if window_ns == 0 {
-            if expired {
-                BlameCause::Queueing
-            } else {
-                BlameCause::BatchWait
-            }
-        } else if busy_ns >= load_ns && busy_ns >= wait_ns {
+    if hi <= lo {
+        let cause = if expired {
             BlameCause::Queueing
-        } else if load_ns >= wait_ns {
-            BlameCause::ModelLoad
         } else {
             BlameCause::BatchWait
         };
-
-        report.verdicts.push(BlameVerdict {
-            query,
-            at: e.at,
-            cause,
-            queueing: SimTime::from_nanos(busy_ns),
-            model_load: SimTime::from_nanos(load_ns),
-            batch_wait: SimTime::from_nanos(wait_ns),
-            stale_plan: SimTime::from_nanos(stale_ns),
-        });
+        return Some(BlameVerdict::bare(tree.query, tree.end, cause));
     }
-    report
+    let model_load = tree.segment_total(Segment::Load);
+    // The query's own serving batch running inside its wait is no queue.
+    let batch_wait = tree.segment_total(Segment::StalePlan)
+        + tree.segment_total(Segment::BatchWait)
+        + serving_exec;
+    let queueing = hi
+        .saturating_sub(lo)
+        .saturating_sub(model_load + batch_wait);
+    let cause = if queueing >= model_load && queueing >= batch_wait {
+        BlameCause::Queueing
+    } else if model_load >= batch_wait {
+        BlameCause::ModelLoad
+    } else {
+        BlameCause::BatchWait
+    };
+    Some(BlameVerdict {
+        query: tree.query,
+        at: tree.end,
+        cause,
+        queueing,
+        model_load,
+        batch_wait,
+        stale_plan: t.solve_overlap(lo, hi),
+    })
 }
 
 #[cfg(test)]

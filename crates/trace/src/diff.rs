@@ -13,9 +13,9 @@ use std::collections::{BTreeMap, HashMap};
 
 use proteus_sim::SimTime;
 
-use crate::analysis::{blame, BlameCause};
+use crate::analysis::{verdict, BlameCause};
 use crate::event::TraceEvent;
-use crate::span::{span_trees, Segment, SpanTree};
+use crate::span::{build_tree, harvest, Segment, SpanTree};
 
 /// Per-segment latency movement across the aligned queries.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -104,16 +104,21 @@ struct RunIndex {
     causes: HashMap<u64, BlameCause>,
 }
 
+/// Builds both from one harvest: each violation's cause is folded from the
+/// same tree the segment deltas read.
 fn index(events: &[TraceEvent]) -> RunIndex {
-    let trees = span_trees(events)
-        .into_iter()
-        .map(|t| (t.query, t))
-        .collect();
-    let causes = blame(events)
-        .verdicts
+    let t = harvest(events);
+    let mut scratch = Vec::new();
+    let (mut trees, mut causes) = (HashMap::new(), HashMap::new());
+    for (tree, wait) in events
         .iter()
-        .map(|v| (v.query, v.cause))
-        .collect();
+        .filter_map(|e| build_tree(&t, e, &mut scratch))
+    {
+        if let Some(v) = verdict(&t, &tree, wait) {
+            causes.insert(tree.query, v.cause);
+        }
+        trees.insert(tree.query, tree);
+    }
     RunIndex { trees, causes }
 }
 

@@ -16,12 +16,12 @@
 //! On top of the recorded stream sit the offline consumers: a
 //! [Chrome-trace exporter](chrome::export_chrome) (open the result in
 //! `chrome://tracing` or [Perfetto](https://ui.perfetto.dev)), the
-//! [`analysis`] module (per-query lifecycle reconstruction and
-//! SLO-violation [blame attribution](analysis::blame)), the [`span`]
-//! module (causal span trees with an additive critical-path
-//! decomposition, plus collapsed-stack flame export), and the [`diff`]
-//! module (run-to-run trace comparison for regression triage) — all
-//! powering the `trace-query` binary in the CLI crate.
+//! [`span`] module (causal span trees with an additive critical-path
+//! decomposition, plus collapsed-stack flame export), the [`analysis`]
+//! module (per-query lifecycle reconstruction and SLO-violation
+//! [blame attribution](analysis::blame), read off those same span trees),
+//! and the [`diff`] module (run-to-run trace comparison for regression
+//! triage) — all powering the `trace-query` binary in the CLI crate.
 //!
 //! # Examples
 //!

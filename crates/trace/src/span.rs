@@ -189,13 +189,7 @@ impl SpanTree {
 
     /// Total time attributed to one segment class.
     pub fn segment_total(&self, segment: Segment) -> SimTime {
-        SimTime::from_nanos(
-            self.spans
-                .iter()
-                .filter(|s| s.segment == segment)
-                .map(|s| s.dur().as_nanos())
-                .sum(),
-        )
+        total(&self.spans, segment)
     }
 
     /// Nanoseconds by which the segment sum misses the observed latency.
@@ -221,8 +215,24 @@ impl SpanTree {
     }
 }
 
-/// Per-device interval timelines harvested in one pass over the trace.
-struct Timelines {
+/// Total time `spans` attribute to one segment class.
+fn total(spans: &[Span], segment: Segment) -> SimTime {
+    spans
+        .iter()
+        .filter(|s| s.segment == segment)
+        .map(|s| s.dur())
+        .sum()
+}
+
+/// A query's wait window `[placement, serving exec start)` (to the terminal
+/// if no batch of its started inside; empty if never placed), and the part
+/// of it the serving batch's own execution covers.
+pub(crate) type Window = (SimTime, SimTime, SimTime);
+
+/// Per-device interval timelines and per-query tables, harvested in one
+/// pass over the trace. Span trees and blame verdicts are both read from
+/// them.
+pub(crate) struct Timelines {
     /// Device → `(start, until, batch)` execution intervals.
     execs: ByDevice<u64>,
     /// Device → `(start, until, (event index, variant))` load intervals.
@@ -234,21 +244,26 @@ struct Timelines {
     arrived: IdMap<u64, (SimTime, ModelFamily)>,
     /// Query → final placement `(at, device, behind)`.
     enqueued: IdMap<u64, (SimTime, DeviceId, Option<u64>)>,
-    /// Query → batches it was ever a member of (`(device, batch)`).
-    member_of: IdMap<u64, Vec<(u32, u64)>>,
+    /// Query → the last batch it joined (`(device, batch)`): the one that
+    /// served it.
+    last_batch: IdMap<u64, (u32, u64)>,
+    /// Query → the batches it joined before its last one, which crashes
+    /// rolled back. Rarely filled.
+    earlier: IdMap<u64, Vec<(u32, u64)>>,
     /// `(device, batch)` → exec start.
     exec_start: IdMap<(u32, u64), SimTime>,
     /// Query → crash-salvage retries `(from, attempt)`.
     retries: IdMap<u64, Vec<(DeviceId, u32)>>,
 }
 
-fn harvest(events: &[TraceEvent]) -> Timelines {
+pub(crate) fn harvest(events: &[TraceEvent]) -> Timelines {
     let mut execs: IdMap<u32, Vec<_>> = IdMap::default();
     let mut loads: IdMap<u32, Vec<_>> = IdMap::default();
     let mut solves = Vec::new();
     let mut arrived = IdMap::default();
     let mut enqueued = IdMap::default();
-    let mut member_of: IdMap<u64, Vec<_>> = IdMap::default();
+    let mut last_batch = IdMap::default();
+    let mut earlier: IdMap<u64, Vec<_>> = IdMap::default();
     let mut exec_start = IdMap::default();
     let mut retries: IdMap<u64, Vec<_>> = IdMap::default();
     for (i, e) in events.iter().enumerate() {
@@ -272,7 +287,9 @@ fn harvest(events: &[TraceEvent]) -> Timelines {
                 queries,
             } => {
                 for q in queries {
-                    member_of.entry(*q).or_default().push((device.0, *batch));
+                    if let Some(prev) = last_batch.insert(*q, (device.0, *batch)) {
+                        earlier.entry(*q).or_default().push(prev);
+                    }
                 }
             }
             EventKind::ExecStarted {
@@ -316,10 +333,38 @@ fn harvest(events: &[TraceEvent]) -> Timelines {
         solves: IntervalIndex::new(solves),
         arrived,
         enqueued,
-        member_of,
+        last_batch,
+        earlier,
         exec_start,
         retries,
     }
+}
+
+impl Timelines {
+    /// Whether `query` ever joined `batch` (`(device, batch)`).
+    fn joined(&self, query: u64, batch: (u32, u64)) -> bool {
+        self.last_batch.get(&query) == Some(&batch)
+            || self
+                .earlier
+                .get(&query)
+                .is_some_and(|earlier| earlier.contains(&batch))
+    }
+
+    /// Total overlap of `[lo, hi)` with the solve windows.
+    pub(crate) fn solve_overlap(&self, lo: SimTime, hi: SimTime) -> SimTime {
+        SimTime::from_nanos(
+            self.solves
+                .overlapping(lo, hi)
+                .iter()
+                .map(|&(a, b, ())| overlap(lo, hi, a, b))
+                .sum(),
+        )
+    }
+}
+
+/// Nanoseconds `[a0, a1)` and `[b0, b1)` share.
+fn overlap(a0: SimTime, a1: SimTime, b0: SimTime, b1: SimTime) -> u64 {
+    a1.min(b1).saturating_sub(a0.max(b0)).as_nanos()
 }
 
 /// Wait-window coverage classes, in precedence order (highest first).
@@ -399,14 +444,14 @@ pub(crate) fn push_span(out: &mut Vec<Span>, segment: Segment, lo: u64, hi: u64)
     });
 }
 
-/// Builds the span tree of one terminal event. `terminal` is the
-/// `Served*`/`Dropped` event; returns `None` for non-terminal kinds.
-/// `intervals` is scratch space, reused across calls.
-fn build_tree(
+/// Builds the span tree of one terminal event, with its wait window.
+/// `terminal` is the `Served*`/`Dropped` event; returns `None` for
+/// non-terminal kinds. `intervals` is scratch space, reused across calls.
+pub(crate) fn build_tree(
     t: &Timelines,
     terminal: &TraceEvent,
     intervals: &mut Vec<(SimTime, SimTime, Class)>,
-) -> Option<SpanTree> {
+) -> Option<(SpanTree, Window)> {
     let (query, outcome, epoch) = match &terminal.kind {
         EventKind::ServedOnTime { query, epoch, .. } => (*query, Outcome::OnTime, *epoch),
         EventKind::ServedLate { query, epoch, .. } => (*query, Outcome::Late, *epoch),
@@ -414,18 +459,22 @@ fn build_tree(
         _ => return None,
     };
     let end = terminal.at;
-    let (start, family) = t
-        .arrived
-        .get(&query)
-        .map_or((end, None), |&(at, f)| (at, Some(f)));
+    let arrival = t.arrived.get(&query).copied();
     let placement = t.enqueued.get(&query).copied();
+    let family = arrival.map(|(_, f)| f);
+    // The timeline starts at arrival or, in a trace that did not record
+    // it, at the final placement.
+    let start = arrival
+        .map(|(at, _)| at)
+        .or(placement.map(|(at, _, _)| at))
+        .map_or(end, |at| at.min(end));
     let device = placement.map(|(_, d, _)| d);
-    let own: &[(u32, u64)] = t.member_of.get(&query).map_or(&[], Vec::as_slice);
     // The serving batch is the last one the query joined; earlier ones were
     // rolled back by crashes.
-    let serving = own.last().copied();
+    let serving = t.last_batch.get(&query).copied();
     let mut spans = Vec::new();
     let mut edges = Vec::new();
+    let mut wait = (end, end, SimTime::ZERO);
 
     for &(from, attempt) in t.retries.get(&query).map_or(&[][..], Vec::as_slice) {
         edges.push(CausalEdge::RetriedAfterCrash {
@@ -452,13 +501,17 @@ fn build_tree(
             .and_then(|key| t.exec_start.get(&key).copied())
             .filter(|&at| at >= enq_at && at <= end);
         let window_end = exec_start.unwrap_or(end);
+        let mut serving_exec = 0;
 
         // Only intervals overlapping the wait window can cover any of it,
         // so the index's run yields the same partition and edges as the
         // device's whole timeline would.
         intervals.clear();
         for &(a, b, batch) in t.execs.overlapping(dev.0, enq_at, window_end) {
-            let class = if own.contains(&(dev.0, batch)) {
+            if serving == Some((dev.0, batch)) {
+                serving_exec += overlap(enq_at, window_end, a, b);
+            }
+            let class = if t.joined(query, (dev.0, batch)) {
                 Class::OwnExec
             } else {
                 Class::OtherExec
@@ -473,6 +526,7 @@ fn build_tree(
             intervals.push((a, b, Class::Solve));
         }
         sweep(enq_at, window_end, intervals, &mut spans);
+        wait = (enq_at, window_end, SimTime::from_nanos(serving_exec));
         // The query's own execution: exec start → terminal.
         push_span(
             &mut spans,
@@ -482,38 +536,26 @@ fn build_tree(
         );
 
         // Edges for the expensive wait classes.
-        let load_total: u64 = spans
-            .iter()
-            .filter(|s| s.segment == Segment::Load)
-            .map(|s| s.dur().as_nanos())
-            .sum();
-        if load_total > 0 {
+        let load_total = total(&spans, Segment::Load);
+        if load_total > SimTime::ZERO {
             // Blame the load with the largest clipped overlap; ties go to
             // the one recorded last.
             let best = loads
                 .iter()
-                .map(|&(a, b, (seq, v))| {
-                    let lo = a.max(enq_at).as_nanos();
-                    let hi = b.min(window_end).as_nanos();
-                    (hi.saturating_sub(lo), seq, v)
-                })
+                .map(|&(a, b, (seq, v))| (overlap(enq_at, window_end, a, b), seq, v))
                 .max_by_key(|&(overlap, seq, _)| (overlap, seq))
                 .and_then(|(_, _, v)| v);
             edges.push(CausalEdge::WaitedOnLoad {
                 device: dev,
                 variant: best,
-                stall: SimTime::from_nanos(load_total),
+                stall: load_total,
             });
         }
-        let stale_total: u64 = spans
-            .iter()
-            .filter(|s| s.segment == Segment::StalePlan)
-            .map(|s| s.dur().as_nanos())
-            .sum();
-        if stale_total > 0 {
+        let stale_total = total(&spans, Segment::StalePlan);
+        if stale_total > SimTime::ZERO {
             edges.push(CausalEdge::ServedUnderStalePlan {
                 epoch,
-                overlap: SimTime::from_nanos(stale_total),
+                overlap: stale_total,
             });
         }
     } else {
@@ -539,7 +581,7 @@ fn build_tree(
         edges,
     };
     debug_assert_eq!(tree.invariant_gap(), 0, "query {query} segments must tile");
-    Some(tree)
+    Some((tree, wait))
 }
 
 /// Folds a trace into one span tree per terminal query, in terminal-event
@@ -549,7 +591,7 @@ pub fn span_trees(events: &[TraceEvent]) -> Vec<SpanTree> {
     let mut scratch = Vec::new();
     events
         .iter()
-        .filter_map(|e| build_tree(&t, e, &mut scratch))
+        .filter_map(|e| build_tree(&t, e, &mut scratch).map(|(tree, _)| tree))
         .collect()
 }
 
@@ -559,7 +601,7 @@ pub fn span_tree(events: &[TraceEvent], query: u64) -> Option<SpanTree> {
     events
         .iter()
         .filter(|e| e.kind.query() == Some(query) && e.kind.is_terminal())
-        .find_map(|e| build_tree(&t, e, &mut Vec::new()))
+        .find_map(|e| build_tree(&t, e, &mut Vec::new()).map(|(tree, _)| tree))
 }
 
 /// Renders collapsed-stack (inferno/speedscope-compatible) lines from span
