@@ -1,5 +1,6 @@
-//! Machine-readable companion to the `solver` criterion bench and
-//! `fig10_milp_scaling`: sweeps the same three Fig. 10 axes and writes
+//! Machine-readable companion to `fig10_milp_scaling`: sweeps the same
+//! Fig. 10 instances (`proteus_bench::fig10`) on the per-device
+//! formulation, plus the aggregated operating point, and writes
 //! `BENCH_solver.json` (or the path given as the first argument).
 //!
 //! The JSON is written by hand so the harness has no dependencies beyond
@@ -12,33 +13,14 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
+use proteus_bench::fig10::{self, Instance};
 use proteus_core::allocation::audit::audit_plan;
-use proteus_core::allocation::milp::{solve_allocation, Formulation, MilpConfig};
-use proteus_core::schedulers::AllocContext;
-use proteus_core::FamilyMap;
-use proteus_profiler::{Cluster, ModelFamily, ModelZoo, ProfileStore, SloPolicy, VariantSpec};
+use proteus_core::allocation::milp::{solve_allocation, Formulation};
+use proteus_profiler::ModelFamily;
 
 /// Best-of-N timing: small N keeps the full sweep under a minute while
 /// still shaving scheduler noise off the floor.
 const REPEATS: u32 = 3;
-
-fn sub_zoo(families: usize, per_family: usize) -> ModelZoo {
-    let full = ModelZoo::paper_table3();
-    let mut zoo = ModelZoo::new();
-    for &family in ModelFamily::ALL.iter().take(families) {
-        for v in full.variants_of(family).take(per_family) {
-            zoo.register(VariantSpec::new(
-                v.id(),
-                v.name(),
-                v.accuracy(),
-                v.reference_latency_ms(),
-                v.memory_mib(),
-                v.memory_per_item_mib(),
-            ));
-        }
-    }
-    zoo
-}
 
 struct Measurement {
     secs: f64,
@@ -53,29 +35,11 @@ struct Measurement {
     solver_wall_secs: f64,
 }
 
-fn measure(cluster: &Cluster, zoo: &ModelZoo, families: usize, per_device: bool) -> Measurement {
-    let store = ProfileStore::build(zoo, SloPolicy::default());
-    let ctx = AllocContext {
-        cluster,
-        zoo,
-        store: &store,
-        down: &[],
-    };
-    let demand = FamilyMap::from_fn(|f| {
-        if f.index() < families {
-            30.0 + 5.0 * f.index() as f64
-        } else {
-            0.0
-        }
-    });
-    let config = MilpConfig {
-        formulation: if per_device {
-            Formulation::PerDevice
-        } else {
-            Formulation::TypeAggregated
-        },
-        ..MilpConfig::default()
-    };
+fn measure(instance: &Instance, formulation: Formulation) -> Measurement {
+    let store = instance.store();
+    let ctx = instance.context(&store);
+    let demand = instance.demand();
+    let config = fig10::config(formulation);
     let mut best: Option<Measurement> = None;
     for _ in 0..REPEATS {
         let start = Instant::now();
@@ -90,7 +54,7 @@ fn measure(cluster: &Cluster, zoo: &ModelZoo, families: usize, per_device: bool)
                 assert!(
                     report.is_clean(),
                     "plan audit failed for {}-family instance: {report}",
-                    families
+                    instance.families
                 );
                 let acc = o.plan.planned_accuracy(&ctx);
                 let (sum, n) = ModelFamily::ALL
@@ -166,44 +130,21 @@ fn main() {
 
     let mut instances: Vec<(String, u64, Measurement)> = Vec::new();
 
-    // Axis 1 — devices, per-device formulation (4 families x 4 variants).
-    // d = 48 is the "largest per-device configuration" used as the headline
-    // cross-commit comparison point.
-    let zoo = sub_zoo(4, 4);
-    for &d in &[6u32, 12, 20, 32, 48] {
-        let cluster = Cluster::with_counts(d / 2, d / 4, d - d / 2 - d / 4);
-        instances.push((
-            format!("devices_pd_{d}"),
-            u64::from(d),
-            measure(&cluster, &zoo, 4, true),
-        ));
+    for axis in fig10::axes() {
+        for instance in &axis.instances {
+            instances.push((
+                format!("{}_pd_{}", axis.key, instance.dim),
+                instance.dim,
+                measure(instance, Formulation::PerDevice),
+            ));
+        }
     }
-
-    // Axis 2 — variants, fixed 12-device cluster, 6 families.
-    let cluster12 = Cluster::with_counts(6, 3, 3);
-    for &per in &[1usize, 2, 3, 4, 5] {
-        let zoo = sub_zoo(6, per);
-        let m = measure(&cluster12, &zoo, 6, true);
-        instances.push((format!("variants_pd_{}", zoo.len()), zoo.len() as u64, m));
-    }
-
-    // Axis 3 — query types, fixed cluster, 4 variants per family.
-    for &q in &[1usize, 3, 5, 7, 9] {
-        let zoo = sub_zoo(q, 4);
-        instances.push((
-            format!("qtypes_pd_{q}"),
-            q as u64,
-            measure(&cluster12, &zoo, q, true),
-        ));
-    }
-
     // Operating point — the aggregated formulation the controller runs.
-    let zoo = ModelZoo::paper_table3();
-    let cluster = Cluster::paper_testbed();
+    let op = fig10::operating_point();
     instances.push((
         "operating_point_agg".to_string(),
-        cluster.len() as u64,
-        measure(&cluster, &zoo, 9, false),
+        op.dim,
+        measure(&op, Formulation::TypeAggregated),
     ));
 
     let mut out = String::new();

@@ -13,57 +13,15 @@
 //! rate means cheap dual-simplex repairs dominate; a low rate means the
 //! solver fell back to cold two-phase solves.
 
-use proteus_core::allocation::milp::{solve_allocation, Formulation, MilpConfig};
-use proteus_core::schedulers::AllocContext;
-use proteus_core::FamilyMap;
+use proteus_bench::fig10::{self, Instance};
+use proteus_core::allocation::milp::{solve_allocation, Formulation};
 use proteus_metrics::report::{fmt_f, TextTable};
-use proteus_profiler::{Cluster, ModelFamily, ModelZoo, ProfileStore, SloPolicy, VariantSpec};
 use proteus_solver::SolveStats;
 
-/// Builds a zoo with only the first `per_family` variants of each of the
-/// first `families` families.
-fn sub_zoo(families: usize, per_family: usize) -> ModelZoo {
-    let full = ModelZoo::paper_table3();
-    let mut zoo = ModelZoo::new();
-    for &family in ModelFamily::ALL.iter().take(families) {
-        for v in full.variants_of(family).take(per_family) {
-            zoo.register(VariantSpec::new(
-                v.id(),
-                v.name(),
-                v.accuracy(),
-                v.reference_latency_ms(),
-                v.memory_mib(),
-                v.memory_per_item_mib(),
-            ));
-        }
-    }
-    zoo
-}
-
-fn solve_point(cluster: &Cluster, zoo: &ModelZoo, families: usize, per_device: bool) -> SolveStats {
-    let store = ProfileStore::build(zoo, SloPolicy::default());
-    let ctx = AllocContext {
-        cluster,
-        zoo,
-        store: &store,
-        down: &[],
-    };
-    let demand = FamilyMap::from_fn(|f| {
-        if f.index() < families {
-            30.0 + 5.0 * f.index() as f64
-        } else {
-            0.0
-        }
-    });
-    let config = MilpConfig {
-        formulation: if per_device {
-            Formulation::PerDevice
-        } else {
-            Formulation::TypeAggregated
-        },
-        ..MilpConfig::default()
-    };
-    match solve_allocation(&ctx, &demand, None, &config) {
+fn solve_point(instance: &Instance, formulation: Formulation) -> SolveStats {
+    let store = instance.store();
+    let ctx = instance.context(&store);
+    match solve_allocation(&ctx, &instance.demand(), None, &fig10::config(formulation)) {
         Ok(outcome) => outcome.stats,
         Err(_) => SolveStats::default(),
     }
@@ -78,73 +36,34 @@ fn stat_cells(st: &SolveStats) -> [String; 4] {
     ]
 }
 
-fn axis_header(dim: &str) -> TextTable {
-    TextTable::new(vec![
-        dim,
-        "pd wall (s)",
-        "pd nodes",
-        "pd iters",
-        "pd warm%",
-        "agg wall (s)",
-        "agg nodes",
-        "agg iters",
-        "agg warm%",
-    ])
-}
-
-fn axis_row(t: &mut TextTable, label: String, pd: &SolveStats, agg: &SolveStats) {
-    let mut row = vec![label];
-    row.extend(stat_cells(pd));
-    row.extend(stat_cells(agg));
-    t.row(row);
-}
-
 fn main() {
     println!("Fig. 10: MILP solve time vs problem dimensions");
     println!("(pd = per-device formulation, agg = type-aggregated)\n");
 
-    // ---- devices (d): per-device formulation, 4 families x 4 variants.
-    let zoo = sub_zoo(4, 4);
-    let mut t = axis_header("devices");
-    for &d in &[6u32, 12, 20, 32, 48] {
-        let cluster = Cluster::with_counts(d / 2, d / 4, d - d / 2 - d / 4);
-        let pd = solve_point(&cluster, &zoo, 4, true);
-        let agg = solve_point(&cluster, &zoo, 4, false);
-        axis_row(&mut t, d.to_string(), &pd, &agg);
+    for axis in fig10::axes() {
+        let mut t = TextTable::new(vec![
+            axis.name,
+            "pd wall (s)",
+            "pd nodes",
+            "pd iters",
+            "pd warm%",
+            "agg wall (s)",
+            "agg nodes",
+            "agg iters",
+            "agg warm%",
+        ]);
+        for instance in &axis.instances {
+            let mut row = vec![instance.dim.to_string()];
+            for formulation in [Formulation::PerDevice, Formulation::TypeAggregated] {
+                row.extend(stat_cells(&solve_point(instance, formulation)));
+            }
+            t.row(row);
+        }
+        println!("Scaling in {} ({}):\n{}", axis.name, axis.fixed, t.render());
     }
-    println!(
-        "Scaling in devices (m = 16 variants, q = 4):\n{}",
-        t.render()
-    );
-
-    // ---- variants (m): fixed 12-device cluster, 6 families, growing zoo.
-    let cluster = Cluster::with_counts(6, 3, 3);
-    let mut t = axis_header("variants");
-    for &per in &[1usize, 2, 3, 4, 5] {
-        let zoo = sub_zoo(6, per);
-        let pd = solve_point(&cluster, &zoo, 6, true);
-        let agg = solve_point(&cluster, &zoo, 6, false);
-        axis_row(&mut t, zoo.len().to_string(), &pd, &agg);
-    }
-    println!("Scaling in variants (d = 12, q = 6):\n{}", t.render());
-
-    // ---- query types (q): fixed cluster, 4 variants per family.
-    let mut t = axis_header("query types");
-    for &q in &[1usize, 3, 5, 7, 9] {
-        let zoo = sub_zoo(q, 4);
-        let pd = solve_point(&cluster, &zoo, q, true);
-        let agg = solve_point(&cluster, &zoo, q, false);
-        axis_row(&mut t, q.to_string(), &pd, &agg);
-    }
-    println!(
-        "Scaling in query types (d = 12, m = 4 per family):\n{}",
-        t.render()
-    );
 
     // ---- the §6.8 headline: the operating point used by the system.
-    let zoo = ModelZoo::paper_table3();
-    let cluster = Cluster::paper_testbed();
-    let st = solve_point(&cluster, &zoo, 9, false);
+    let st = solve_point(&fig10::operating_point(), Formulation::TypeAggregated);
     println!(
         "Operating point (paper testbed, 40 devices, 51 variants, 9 types,\n\
          aggregated formulation as used at runtime): {:.3} s per solve —\n\

@@ -7,6 +7,11 @@
 
 #![forbid(unsafe_code)]
 
+pub mod fig10;
+
+use std::hint::black_box;
+use std::time::{Duration, Instant};
+
 use proteus_core::batching::{AimdBatching, BatchPolicy, NexusBatching, ProteusBatching};
 use proteus_core::schedulers::{
     Allocator, ClipperAllocator, ClipperMode, InfaasAccuracyAllocator, ProteusAllocator,
@@ -145,6 +150,23 @@ pub fn demand_per_minute(trace: &dyn DemandTrace) -> Vec<f64> {
         .map(|s| trace.qps_at(s))
         .collect();
     per_minute(&series)
+}
+
+/// Mean wall time of one call of `f`: the call count doubles until a
+/// round takes at least 100 ms, and the last round's mean is returned.
+pub fn time_per_call<T>(mut f: impl FnMut() -> T) -> Duration {
+    let mut calls = 1u32;
+    loop {
+        let start = Instant::now();
+        for _ in 0..calls {
+            black_box(f());
+        }
+        let elapsed = start.elapsed();
+        if elapsed >= Duration::from_millis(100) || calls == 1 << 30 {
+            return elapsed / calls;
+        }
+        calls *= 2;
+    }
 }
 
 #[cfg(test)]

@@ -28,7 +28,8 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::str::FromStr;
 
-use proteus_sim::FaultSchedule;
+use proteus_profiler::{ModelFamily, ModelZoo, ProfileStore, SloPolicy};
+use proteus_sim::{FaultSchedule, SimTime};
 
 /// Which demand trace to generate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -214,6 +215,15 @@ impl FromStr for ExperimentConfig {
             let num = |v: &str| -> Result<f64, ParseConfigError> {
                 v.parse().map_err(|_| bad(format!("`{v}` is not a number")))
             };
+            // A whole-number key: truncated, but never saturated.
+            let int = |v: &str, max: f64| -> Result<f64, ParseConfigError> {
+                let n = num(v)?;
+                if (0.0..=max).contains(&n) {
+                    Ok(n)
+                } else {
+                    Err(bad(format!("`{v}` is out of range")))
+                }
+            };
             match key {
                 "trace" => {
                     config.trace = match value {
@@ -223,10 +233,10 @@ impl FromStr for ExperimentConfig {
                         other => return Err(bad(format!("unknown trace `{other}`"))),
                     }
                 }
-                "trace_secs" => config.trace_secs = num(value)? as u32,
+                "trace_secs" => config.trace_secs = int(value, f64::from(u32::MAX))? as u32,
                 "base_qps" => config.base_qps = num(value)?,
                 "peak_qps" => config.peak_qps = num(value)?,
-                "seed" => config.seed = num(value)? as u64,
+                "seed" => config.seed = int(value, u64::MAX as f64)? as u64,
                 "model_allocation" | "allocator" => {
                     config.allocation = match value {
                         "ilp" => AllocationKind::Ilp,
@@ -351,10 +361,25 @@ impl ExperimentConfig {
     /// [`validate`](Self::validate), also naming the config keys the
     /// violated requirement reads.
     fn check(&self) -> Result<(), (&'static [&'static str], String)> {
+        let numbers: [(&'static [&'static str], f64); 8] = [
+            (&["base_qps"], self.base_qps),
+            (&["peak_qps"], self.peak_qps),
+            (&["slo_multiplier"], self.slo_multiplier),
+            (&["realloc_period"], self.realloc_period_secs),
+            (&["beta"], self.beta),
+            (&["telemetry_window"], self.telemetry_window_secs),
+            (&["telemetry_step"], self.telemetry_step_secs),
+            (&["telemetry_objective"], self.telemetry_objective),
+        ];
+        for (keys, value) in numbers {
+            if !value.is_finite() {
+                return Err((keys, format!("{} must be finite, got {value}", keys[0])));
+            }
+        }
         if self.trace_secs == 0 {
             return Err((&["trace_secs"], "trace_secs must be positive".into()));
         }
-        if self.base_qps < 0.0 || self.peak_qps < self.base_qps {
+        if !(0.0 <= self.base_qps && self.base_qps <= self.peak_qps) {
             return Err((
                 &["base_qps", "peak_qps"],
                 format!(
@@ -384,6 +409,19 @@ impl ExperimentConfig {
         if self.beta < 1.0 {
             return Err((&["beta"], "beta must be >= 1.0".into()));
         }
+        let store = ProfileStore::build(
+            &ModelZoo::paper_table3(),
+            SloPolicy::with_multiplier(self.slo_multiplier),
+        );
+        if ModelFamily::ALL
+            .iter()
+            .any(|&f| SimTime::checked_from_secs_f64(store.slo_ms(f) / 1e3).is_none())
+        {
+            return Err((
+                &["slo_multiplier"],
+                "slo_multiplier puts an SLO past the end of simulated time".into(),
+            ));
+        }
         if self.telemetry_step_secs <= 0.0 || self.telemetry_window_secs < self.telemetry_step_secs
         {
             return Err((
@@ -393,6 +431,19 @@ impl ExperimentConfig {
                     self.telemetry_step_secs, self.telemetry_window_secs
                 ),
             ));
+        }
+        let durations: [(&'static [&'static str], f64); 3] = [
+            (&["realloc_period"], self.realloc_period_secs),
+            (&["telemetry_window"], self.telemetry_window_secs),
+            (&["telemetry_step"], self.telemetry_step_secs),
+        ];
+        for (keys, secs) in durations {
+            if SimTime::checked_from_secs_f64(secs).is_none() {
+                return Err((
+                    keys,
+                    format!("{} is past the end of simulated time", keys[0]),
+                ));
+            }
         }
         if !(0.0 < self.telemetry_objective && self.telemetry_objective < 1.0) {
             return Err((
@@ -644,6 +695,60 @@ mod tests {
             (line, reason.as_str()),
             (2, "telemetry_objective must be in (0, 1)")
         );
+    }
+
+    #[test]
+    fn non_finite_numbers_are_rejected_on_their_line() {
+        for (key, value) in [
+            ("realloc_period", "NaN"),
+            ("slo_multiplier", "inf"),
+            ("peak_qps", "inf"),
+            ("base_qps", "NaN"),
+            ("beta", "NaN"),
+            ("telemetry_step", "-inf"),
+        ] {
+            let (line, reason) = invalid(&format!("seed = 1\n{key} = {value}"));
+            assert_eq!(line, 2, "{key} = {value}");
+            assert_eq!(reason, format!("{key} must be finite, got {value}"));
+        }
+    }
+
+    #[test]
+    fn durations_past_the_end_of_simulated_time_are_rejected() {
+        let (line, reason) = invalid("seed = 1\nrealloc_period = 1e300");
+        assert_eq!(
+            (line, reason.as_str()),
+            (2, "realloc_period is past the end of simulated time")
+        );
+        let (line, reason) = invalid("telemetry = on\ntelemetry_window = 1e300");
+        assert_eq!(
+            (line, reason.as_str()),
+            (2, "telemetry_window is past the end of simulated time")
+        );
+        let (line, reason) = invalid("seed = 1\nslo_multiplier = 1e300");
+        assert_eq!(line, 2);
+        assert!(reason.contains("past the end"), "{reason}");
+        let (line, reason) = invalid("seed = 1\nsolve_latency = fixed:1e300");
+        assert_eq!(line, 2);
+        assert!(reason.contains("past the end"), "{reason}");
+    }
+
+    #[test]
+    fn whole_number_keys_reject_values_they_cannot_hold() {
+        for text in [
+            "trace_secs = 1e300",
+            "trace_secs = 4294967296",
+            "trace_secs = -1",
+            "trace_secs = nan",
+            "seed = inf",
+            "seed = -1",
+        ] {
+            let (line, reason) = invalid(text);
+            assert_eq!(line, 1, "{text}");
+            assert!(reason.contains("out of range"), "{text}: {reason}");
+        }
+        let c: ExperimentConfig = "trace_secs = 4294967295\nseed = 7.9".parse().unwrap();
+        assert_eq!((c.trace_secs, c.seed), (u32::MAX, 7));
     }
 
     #[test]

@@ -527,6 +527,61 @@ mod tests {
     }
 
     #[test]
+    fn catches_routing_to_empty_device() {
+        let env = Env::new();
+        let d = demand();
+        let mut plan = solved_plan(&env, &d);
+        // Unload a routed device without touching the routing table.
+        let (device, _) = plan.routing(ModelFamily::ResNet)[0];
+        plan.assign(device, None);
+        let report = audit_plan(&env.ctx(), &d, &plan);
+        assert!(
+            report.violations.iter().any(|v| matches!(
+                v,
+                PlanViolation::RoutingToEmptyDevice { family: ModelFamily::ResNet, device: d }
+                    if *d == device
+            )),
+            "expected routing-to-empty-device, got: {report}"
+        );
+    }
+
+    #[test]
+    fn catches_slo_infeasible_assignment() {
+        let env = Env::new();
+        let d = demand();
+        let mut plan = solved_plan(&env, &d);
+        // A variant that fits a CPU worker's memory but misses its SLO there.
+        let cpu = env
+            .cluster
+            .iter()
+            .find(|s| s.device_type == DeviceType::Cpu)
+            .unwrap()
+            .id;
+        let slow = env
+            .zoo
+            .iter()
+            .find(|v| {
+                v.memory_at_batch(1) <= DeviceType::Cpu.memory_mib()
+                    && !env
+                        .store
+                        .profile(v.id(), DeviceType::Cpu)
+                        .is_some_and(|p| p.is_feasible())
+            })
+            .expect("some variant misses its SLO on a CPU")
+            .id();
+        plan.assign(cpu, Some(slow));
+        let report = audit_plan(&env.ctx(), &d, &plan);
+        assert!(
+            report.violations.iter().any(|v| matches!(
+                v,
+                PlanViolation::SloInfeasible { device, variant }
+                    if *device == cpu && *variant == slow
+            )),
+            "expected slo-infeasible, got: {report}"
+        );
+    }
+
+    #[test]
     fn catches_dropped_coverage() {
         let env = Env::new();
         let d = demand();

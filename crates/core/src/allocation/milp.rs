@@ -740,6 +740,7 @@ fn solve_per_device(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::allocation::audit::audit_plan;
     use proteus_profiler::{Cluster, ModelZoo, ProfileStore, SloPolicy};
 
     struct Env {
@@ -790,7 +791,7 @@ mod tests {
         let demand = demand_single(ModelFamily::EfficientNet, 10.0);
         let out = solve_allocation(&env.ctx(), &demand, None, &MilpConfig::default()).unwrap();
         assert_eq!(out.shrink, 1.0);
-        assert_eq!(out.plan.validate(&env.ctx()), None);
+        assert!(audit_plan(&env.ctx(), &demand, &out.plan).is_clean());
         // 10 QPS of EfficientNet fits the most accurate variant on a V100.
         let planned = out.plan.planned_accuracy(&env.ctx());
         assert!(
@@ -839,7 +840,7 @@ mod tests {
         let demand = demand_single(ModelFamily::EfficientNet, 1e5);
         let out = solve_allocation(&env.ctx(), &demand, None, &MilpConfig::default()).unwrap();
         assert!(out.shrink > 1.0, "shrink must kick in");
-        assert_eq!(out.plan.validate(&env.ctx()), None);
+        assert!(audit_plan(&env.ctx(), &demand, &out.plan).is_clean());
     }
 
     #[test]
@@ -916,7 +917,7 @@ mod tests {
         );
         assert!((ae - pe).abs() < 0.02, "EfficientNet: {ae} vs {pe}");
         assert!((ar - pr).abs() < 0.02, "ResNet: {ar} vs {pr}");
-        assert_eq!(per.plan.validate(&env.ctx()), None);
+        assert!(audit_plan(&env.ctx(), &demand, &per.plan).is_clean());
     }
 
     #[test]
@@ -1017,7 +1018,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert_eq!(free.plan.validate(&env.ctx()), None);
+        assert!(audit_plan(&env.ctx(), &perturbed, &free.plan).is_clean());
     }
 
     #[test]
@@ -1079,7 +1080,7 @@ mod tests {
         let demand = FamilyMap::from_fn(|_| 60.0);
         let start = std::time::Instant::now();
         let out = solve_allocation(&env.ctx(), &demand, None, &MilpConfig::default()).unwrap();
-        assert_eq!(out.plan.validate(&env.ctx()), None);
+        assert!(audit_plan(&env.ctx(), &demand, &out.plan).is_clean());
         assert!(
             start.elapsed().as_secs_f64() < 30.0,
             "aggregated MILP should solve the testbed quickly"

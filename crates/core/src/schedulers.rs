@@ -562,6 +562,7 @@ impl Allocator for InfaasAccuracyAllocator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::allocation::audit::audit_plan;
     use proteus_profiler::{Cluster, ModelZoo, ProfileStore, SloPolicy};
 
     struct Env {
@@ -596,18 +597,29 @@ mod tests {
         d
     }
 
+    /// Asserts that `plan` passes every audit check but coverage. The
+    /// baselines keep no standby replica for families without demand, and
+    /// declare no shrink when demand outgrows the cluster, so the MILP's
+    /// coverage contract does not bind them.
+    fn assert_sound(env: &Env, demand: &FamilyMap<f64>, plan: &AllocationPlan) {
+        let report = audit_plan(&env.ctx(), demand, plan);
+        assert!(
+            report
+                .violations
+                .iter()
+                .all(|v| v.kind() == "coverage-shortfall"),
+            "{report}"
+        );
+    }
+
     #[test]
     fn clipper_ht_hosts_least_accurate() {
         let env = Env::new(1, 1, 2);
         let mut c = ClipperAllocator::new(ClipperMode::HighThroughput);
         assert!(c.is_static());
-        let plan = c.allocate(
-            &env.ctx(),
-            &demand(ModelFamily::EfficientNet, 100.0),
-            None,
-            SimTime::ZERO,
-        );
-        assert_eq!(plan.validate(&env.ctx()), None);
+        let offered = demand(ModelFamily::EfficientNet, 100.0);
+        let plan = c.allocate(&env.ctx(), &offered, None, SimTime::ZERO);
+        assert_sound(&env, &offered, &plan);
         for (_, v) in plan.assignments() {
             assert_eq!(v.index, 0, "HT must host index-0 variants, got {v}");
         }
@@ -617,13 +629,9 @@ mod tests {
     fn clipper_ha_hosts_most_accurate() {
         let env = Env::new(1, 1, 2);
         let mut c = ClipperAllocator::new(ClipperMode::HighAccuracy);
-        let plan = c.allocate(
-            &env.ctx(),
-            &demand(ModelFamily::EfficientNet, 20.0),
-            None,
-            SimTime::ZERO,
-        );
-        assert_eq!(plan.validate(&env.ctx()), None);
+        let offered = demand(ModelFamily::EfficientNet, 20.0);
+        let plan = c.allocate(&env.ctx(), &offered, None, SimTime::ZERO);
+        assert_sound(&env, &offered, &plan);
         for (_, v) in plan.assignments() {
             let best = env.zoo.most_accurate(v.family).unwrap().id();
             assert_eq!(v, best, "HA must host most accurate variants");
@@ -645,12 +653,8 @@ mod tests {
             .collect();
         // Second call with much higher demand: families stay pinned, variants
         // may only move within the family.
-        let high = s.allocate(
-            &env.ctx(),
-            &demand(ModelFamily::EfficientNet, 900.0),
-            Some(&low),
-            SimTime::from_secs(30),
-        );
+        let offered = demand(ModelFamily::EfficientNet, 900.0);
+        let high = s.allocate(&env.ctx(), &offered, Some(&low), SimTime::from_secs(30));
         let families_high: Vec<Option<ModelFamily>> = (0..env.cluster.len())
             .map(|i| high.assignment(DeviceId(i as u32)).map(|v| v.family))
             .collect();
@@ -659,7 +663,7 @@ mod tests {
                 assert_eq!(a, b, "sommelier must not move families across devices");
             }
         }
-        assert_eq!(high.validate(&env.ctx()), None);
+        assert_sound(&env, &offered, &high);
         // And the high-demand plan must have scaled accuracy down.
         let acc_low = low.planned_accuracy(&env.ctx())[ModelFamily::EfficientNet];
         let acc_high = high.planned_accuracy(&env.ctx())[ModelFamily::EfficientNet];
@@ -671,21 +675,13 @@ mod tests {
         let env = Env::new(2, 2, 2);
         let mut inf = InfaasAccuracyAllocator::default();
         assert!(inf.on_critical_path());
-        let low = inf.allocate(
-            &env.ctx(),
-            &demand(ModelFamily::EfficientNet, 20.0),
-            None,
-            SimTime::ZERO,
-        );
-        assert_eq!(low.validate(&env.ctx()), None);
+        let offered = demand(ModelFamily::EfficientNet, 20.0);
+        let low = inf.allocate(&env.ctx(), &offered, None, SimTime::ZERO);
+        assert_sound(&env, &offered, &low);
         assert!(low.capacity(ModelFamily::EfficientNet) >= 20.0);
-        let high = inf.allocate(
-            &env.ctx(),
-            &demand(ModelFamily::EfficientNet, 900.0),
-            Some(&low),
-            SimTime::from_secs(1),
-        );
-        assert_eq!(high.validate(&env.ctx()), None);
+        let offered = demand(ModelFamily::EfficientNet, 900.0);
+        let high = inf.allocate(&env.ctx(), &offered, Some(&low), SimTime::from_secs(1));
+        assert_sound(&env, &offered, &high);
         assert!(high.capacity(ModelFamily::EfficientNet) > low.capacity(ModelFamily::EfficientNet));
         let acc_low = low.planned_accuracy(&env.ctx())[ModelFamily::EfficientNet];
         let acc_high = high.planned_accuracy(&env.ctx())[ModelFamily::EfficientNet];

@@ -190,6 +190,11 @@ impl std::str::FromStr for SolveLatency {
                     if !secs.is_finite() || secs <= 0.0 {
                         return Err(format!("fixed solve latency must be positive, got {secs}"));
                     }
+                    if SimTime::checked_from_secs_f64(secs).is_none() {
+                        return Err(format!(
+                            "fixed solve latency {secs:e} s is past the end of simulated time"
+                        ));
+                    }
                     Ok(SolveLatency::Fixed(secs))
                 }
                 None => Err(format!(
@@ -1580,19 +1585,25 @@ impl Engine<'_> {
             None => self.commit_plan(pending, now, sim),
             Some(delta) => {
                 self.next_solve_id += 1;
-                let until = now + delta;
+                // A window that would close past the end of simulated time
+                // (a long fixed latency and its coalesced re-solve) never
+                // closes: the solve is still running when the run ends.
+                let until = now.checked_add(delta);
                 if self.trace_on {
+                    let until = until.unwrap_or(SimTime::MAX);
                     self.emit(now, EventKind::SolveStarted { cause, until });
                 }
                 if let Some(t) = self.telemetry.as_deref_mut() {
                     t.on_solve_started(now);
                 }
-                sim.schedule(
-                    until,
-                    Event::SolveComplete {
-                        id: self.next_solve_id,
-                    },
-                );
+                if let Some(until) = until {
+                    sim.schedule(
+                        until,
+                        Event::SolveComplete {
+                            id: self.next_solve_id,
+                        },
+                    );
+                }
                 self.pending_solve = Some(pending);
             }
         }
@@ -2128,8 +2139,8 @@ impl Actor for Engine<'_> {
             }
             Event::Reallocate => {
                 self.reallocate(now, ReplanCause::Periodic, sim);
-                let next = now + SimTime::from_secs_f64(self.config.realloc_period_secs);
-                if next <= self.horizon {
+                let next = now.checked_add(SimTime::from_secs_f64(self.config.realloc_period_secs));
+                if let Some(next) = next.filter(|&next| next <= self.horizon) {
                     sim.schedule(next, Event::Reallocate);
                 }
             }
@@ -2649,6 +2660,8 @@ mod tests {
         assert!("warp".parse::<SolveLatency>().is_err());
         assert!("fixed:0".parse::<SolveLatency>().is_err());
         assert!("fixed:nope".parse::<SolveLatency>().is_err());
+        let err = "fixed:1e300".parse::<SolveLatency>().unwrap_err();
+        assert!(err.contains("past the end of simulated time"), "{err}");
     }
 
     #[test]
@@ -2839,6 +2852,29 @@ mod tests {
             .final_plan
             .assignment(proteus_profiler::DeviceId(7))
             .is_none());
+    }
+
+    #[test]
+    fn solve_window_past_the_end_of_simulated_time_never_closes() {
+        // The t=5 solve commits at 1e10 s; the re-solve of the triggers that
+        // coalesced in its window would close past the end of `SimTime`, so
+        // it stays open and the run still ends with every query accounted.
+        let mut config = SystemConfig::small();
+        config.realloc_period_secs = 5.0;
+        config.solve_latency = SolveLatency::Fixed(1e10);
+        let mut system = ServingSystem::new(
+            config,
+            Box::new(ProteusAllocator::default()),
+            Box::new(ProteusBatching),
+        );
+        let mut sink = proteus_trace::MemorySink::new();
+        let outcome = system.run_traced(&flat_arrivals(50.0, 15, 7), &mut sink);
+        let s = outcome.metrics.summary();
+        assert_eq!(s.total_arrived, s.total_served + s.total_dropped);
+        assert!(sink.events().iter().any(|e| matches!(
+            e.kind,
+            EventKind::SolveStarted { until, .. } if until == SimTime::MAX
+        )));
     }
 
     #[test]

@@ -98,6 +98,11 @@ impl SimTime {
         self.0 as f64 / 1e6
     }
 
+    /// Returns the sum `self + other`, or `None` if it does not fit.
+    pub fn checked_add(self, other: SimTime) -> Option<SimTime> {
+        self.0.checked_add(other.0).map(SimTime)
+    }
+
     /// Returns the difference `self - other`, or [`SimTime::ZERO`] if `other`
     /// is later (no negative spans).
     pub fn saturating_sub(self, other: SimTime) -> SimTime {
@@ -210,6 +215,8 @@ mod tests {
         assert_eq!(b * 5, SimTime::from_secs(5));
         assert_eq!(a / 3, SimTime::from_secs(1));
         assert_eq!(b.saturating_sub(a), SimTime::ZERO);
+        assert_eq!(a.checked_add(b), Some(SimTime::from_secs(4)));
+        assert_eq!(SimTime::MAX.checked_add(b), None);
         assert_eq!(a.max(b), a);
         assert_eq!(a.min(b), b);
         let mut c = a;

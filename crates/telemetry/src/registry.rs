@@ -187,7 +187,7 @@ pub struct Registry {
     window_steps: usize,
     /// Current (unsealed) step accumulation.
     cur: [FlowCell; ModelFamily::COUNT],
-    /// Sealed steps, oldest in front; capacity `window_steps`.
+    /// Sealed steps, oldest in front; at most `window_steps` of them.
     ring: VecDeque<Step>,
     /// Device snapshot just *before* the oldest ring step (the delta
     /// baseline for cumulative per-device counters).
@@ -223,7 +223,9 @@ impl Registry {
             step,
             window_steps,
             cur: [FlowCell::default(); ModelFamily::COUNT],
-            ring: VecDeque::with_capacity(window_steps),
+            // Grows as steps seal: a window longer than the run never
+            // fills, so reserving it up front could only waste memory.
+            ring: VecDeque::new(),
             baseline: Vec::new(),
             totals: [FlowCell::default(); ModelFamily::COUNT],
             phase_nanos: [0; Phase::COUNT],

@@ -327,6 +327,16 @@ pub(crate) fn harvest(events: &[TraceEvent]) -> Timelines {
             _ => {}
         }
     }
+    // A device's next load supersedes any still in flight (the engine
+    // abandons it), so each load ends no later than the next one starts.
+    for device_loads in loads.values_mut() {
+        device_loads.sort_by_key(|&(start, _, _)| start);
+        let mut next_start = SimTime::MAX;
+        for (start, until, _) in device_loads.iter_mut().rev() {
+            *until = (*until).min(next_start);
+            next_start = *start;
+        }
+    }
     Timelines {
         execs: ByDevice::new(execs),
         loads: ByDevice::new(loads),

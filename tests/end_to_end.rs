@@ -214,7 +214,8 @@ fn diurnal_run_on_paper_testbed_is_sane() {
     assert_eq!(s.total_arrived, s.total_served + s.total_dropped);
     assert!(s.slo_violation_ratio < 0.2, "{}", s.slo_violation_ratio);
     assert!(s.effective_accuracy > 0.85, "{}", s.effective_accuracy);
-    // The final plan must be structurally valid.
+    // The final plan must pass the independent auditor (demand at the
+    // standby floor: every family routed somewhere).
     let store = proteus::profiler::ProfileStore::build(
         &proteus::profiler::ModelZoo::paper_table3(),
         proteus::profiler::SloPolicy::default(),
@@ -227,7 +228,12 @@ fn diurnal_run_on_paper_testbed_is_sane() {
         store: &store,
         down: &[],
     };
-    assert_eq!(outcome.final_plan.validate(&ctx), None);
+    let report = proteus::core::allocation::audit::audit_plan(
+        &ctx,
+        &FamilyMap::default(),
+        &outcome.final_plan,
+    );
+    assert!(report.is_clean(), "{report}");
 }
 
 #[test]

@@ -3,6 +3,7 @@
 
 use proptest::prelude::*;
 
+use proteus::core::allocation::audit::audit_plan;
 use proteus::core::allocation::milp::{solve_allocation, Formulation, MilpConfig};
 use proteus::core::batching::{
     BatchContext, BatchDecision, BatchPolicy, NexusBatching, ProteusBatching,
@@ -41,7 +42,7 @@ proptest! {
         demand[ModelFamily::Bert] = d_bert;
         demand[ModelFamily::MobileNet] = d_mob;
         let out = solve_allocation(&ctx, &demand, None, &MilpConfig::default()).unwrap();
-        prop_assert_eq!(out.plan.validate(&ctx), None);
+        prop_assert!(audit_plan(&ctx, &demand, &out.plan).is_clean());
         if out.shrink == 1.0 {
             // Strict path: every family's full demand is covered.
             for family in [ModelFamily::EfficientNet, ModelFamily::ResNet,
@@ -131,7 +132,6 @@ proptest! {
         d_mob in 10.0f64..150.0,
         per_device in any::<bool>(),
     ) {
-        use proteus::core::allocation::audit::audit_plan;
         use proteus::profiler::{DeviceType, VariantId};
 
         let (cluster, zoo, store) = env();
