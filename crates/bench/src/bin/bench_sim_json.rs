@@ -15,8 +15,9 @@
 //!   write the baseline JSON;
 //! * `--queries N` — override the headline instance's query count;
 //! * `--check <baseline.json>` — CI perf smoke: run only the reduced
-//!   instance and exit non-zero if its queries/sec regresses more than
-//!   30 % against the committed baseline;
+//!   instance and exit 1 if its served, dropped, events or reallocations
+//!   differ from the committed baseline row, or its queries/sec regresses
+//!   more than 30 % against it;
 //! * `--telemetry` — run with the telemetry plane on (registry, sketches
 //!   and burn-rate engine; no exposition file, dashboard or listener), to
 //!   measure the observability overhead against a default run. The run
@@ -173,16 +174,28 @@ fn print_summary(label: &str, m: &Measurement) {
     );
 }
 
-/// Extracts `"queries_per_sec": <num>` for the labelled instance from the
-/// committed baseline (hand-rolled: no JSON dependency, fixed writer).
-fn baseline_qps(json: &str, label: &str) -> Option<f64> {
+/// Extracts the raw value of `"<key>": <num>` for the labelled instance
+/// from the committed baseline (hand-rolled: no JSON dependency, fixed
+/// writer).
+fn baseline_field<'a>(json: &'a str, label: &str, key: &str) -> Option<&'a str> {
     let needle = format!("\"label\": \"{label}\"");
     let line = json.lines().find(|l| l.contains(&needle))?;
-    let key = "\"queries_per_sec\": ";
-    let start = line.find(key)? + key.len();
+    let key = format!("\"{key}\": ");
+    let start = line.find(&key)? + key.len();
     let rest = &line[start..];
     let end = rest.find([',', '}'])?;
-    rest[..end].trim().parse().ok()
+    Some(rest[..end].trim())
+}
+
+/// The fingerprint counters `--check` compares exactly: a change that
+/// moves any of them changed what the simulation did, however fast.
+fn fingerprint(m: &Measurement) -> [(&'static str, u64); 4] {
+    [
+        ("served", m.served),
+        ("dropped", m.dropped),
+        ("events", m.events),
+        ("reallocations", u64::from(m.reallocations)),
+    ]
 }
 
 fn check_mode(baseline_path: &str) -> i32 {
@@ -193,13 +206,28 @@ fn check_mode(baseline_path: &str) -> i32 {
             return 2;
         }
     };
-    let Some(base_qps) = baseline_qps(&baseline, "fig4_reduced") else {
+    let Some(base_qps) = baseline_field(&baseline, "fig4_reduced", "queries_per_sec")
+        .and_then(|v| v.parse::<f64>().ok())
+    else {
         eprintln!("no fig4_reduced queries_per_sec in {baseline_path}");
         return 2;
     };
     let arrivals = trace(REDUCED_QUERIES);
     let m = measure(&arrivals, false);
     print_summary("fig4_reduced", &m);
+    let mut failed = false;
+    for (key, measured) in fingerprint(&m) {
+        let Some(expected) =
+            baseline_field(&baseline, "fig4_reduced", key).and_then(|v| v.parse::<u64>().ok())
+        else {
+            eprintln!("no fig4_reduced {key} in {baseline_path}");
+            return 2;
+        };
+        if measured != expected {
+            eprintln!("FINGERPRINT MISMATCH: {key} is {measured}, the baseline has {expected}");
+            failed = true;
+        }
+    }
     let floor = base_qps * (1.0 - MAX_REGRESSION);
     println!(
         "  baseline {base_qps:.0} q/s, floor {floor:.0} q/s, measured {:.0} q/s",
@@ -212,6 +240,9 @@ fn check_mode(baseline_path: &str) -> i32 {
             m.queries_per_sec,
             MAX_REGRESSION * 100.0
         );
+        failed = true;
+    }
+    if failed {
         return 1;
     }
     println!("perf smoke OK");

@@ -263,15 +263,22 @@ impl Workspace {
         let Some(tab) = self.tab.as_ref() else {
             return Err(SolveError::Internal("extract() before a solve"));
         };
+        // Row of each basic structural column (the first, should one
+        // appear twice), built once rather than searched per column.
+        let mut row_of = vec![None; tab.n];
+        for (r, &j) in tab.basis.iter().enumerate().rev() {
+            if let Some(slot) = row_of.get_mut(j) {
+                *slot = Some(r);
+            }
+        }
         let mut values = vec![0.0f64; tab.n];
         for (j, value) in values.iter_mut().enumerate() {
             *value = match tab.state[j] {
                 ColState::AtLower => tab.lower[j],
                 ColState::AtUpper => tab.upper[j],
                 ColState::Basic => {
-                    let r = (0..tab.m)
-                        .find(|&r| tab.basis[r] == j)
-                        .ok_or(SolveError::Internal("basic column missing from basis"))?;
+                    let r =
+                        row_of[j].ok_or(SolveError::Internal("basic column missing from basis"))?;
                     tab.xb[r]
                 }
             };

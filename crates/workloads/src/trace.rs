@@ -313,35 +313,65 @@ impl TraceBuilder {
     }
 
     /// Generates the full arrival stream, sorted by time.
+    ///
+    /// Ties keep draw order: second by second, families in rank order,
+    /// arrivals of one family in the order drawn. The stream is ordered
+    /// one second at a time, never as a whole. Every arrival drawn for
+    /// second `s` lies in `[s, s + 1]`: the offset is in `[0, 1)`, but
+    /// `s + offset` can round up to exactly `s + 1`. Such an arrival can
+    /// only tie the earliest arrivals of second `s + 1`, and a stable sort
+    /// would put it first anyway, because it was drawn first. So stably
+    /// sorting each second's arrivals as soon as they are drawn gives
+    /// exactly the vector a stable sort of the whole stream would, without
+    /// that sort's time or its scratch buffer of half the stream.
     pub fn build(&self, trace: &dyn DemandTrace) -> Vec<QueryArrival> {
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut arrivals = Vec::new();
         for second in 0..trace.duration_secs() {
-            let total = trace.qps_at(second);
-            for (i, &family) in self.families.iter().enumerate() {
-                let lambda = total * self.zipf.mass(i + 1);
-                let count = dist::poisson_count(&mut rng, lambda);
-                for _ in 0..count {
-                    let offset: f64 = rng.random();
-                    let cost = match self.input_cost_shape {
-                        Some(shape) if family.is_transformer() => {
-                            // Clamp to keep one query's cost below the
-                            // profile-level batch budget.
-                            dist::gamma(&mut rng, shape, 1.0 / shape).clamp(0.1, 8.0)
-                        }
-                        _ => 1.0,
-                    };
-                    arrivals.push(QueryArrival {
-                        at: SimTime::from_secs_f64(second as f64 + offset),
-                        family,
-                        cost,
-                    });
-                }
-            }
+            let first = arrivals.len();
+            self.draw_second(&mut rng, trace, second, &mut arrivals);
+            sort_second(&mut arrivals[first..]);
         }
-        arrivals.sort_by_key(|a| a.at);
         arrivals
     }
+
+    /// Appends the arrivals of `second`, in draw order: families in rank
+    /// order, each family's arrivals at uniform offsets inside the second.
+    fn draw_second(
+        &self,
+        rng: &mut StdRng,
+        trace: &dyn DemandTrace,
+        second: u32,
+        arrivals: &mut Vec<QueryArrival>,
+    ) {
+        let total = trace.qps_at(second);
+        for (i, &family) in self.families.iter().enumerate() {
+            let lambda = total * self.zipf.mass(i + 1);
+            let count = dist::poisson_count(rng, lambda);
+            for _ in 0..count {
+                let offset: f64 = rng.random();
+                let cost = match self.input_cost_shape {
+                    Some(shape) if family.is_transformer() => {
+                        // Clamp to keep one query's cost below the
+                        // profile-level batch budget.
+                        dist::gamma(rng, shape, 1.0 / shape).clamp(0.1, 8.0)
+                    }
+                    _ => 1.0,
+                };
+                arrivals.push(QueryArrival {
+                    at: SimTime::from_secs_f64(second as f64 + offset),
+                    family,
+                    cost,
+                });
+            }
+        }
+    }
+}
+
+/// Stably orders one second's arrivals by time; see [`TraceBuilder::build`]
+/// for why this is all the ordering the stream needs.
+fn sort_second(arrivals: &mut [QueryArrival]) {
+    arrivals.sort_by_key(|a| a.at);
 }
 
 #[cfg(test)]
@@ -504,6 +534,93 @@ mod tests {
                 })
         };
         assert_eq!(mk(), mk());
+    }
+
+    /// The ordering `build` used to do: draw every second, then stably
+    /// sort the whole stream once.
+    fn build_with_whole_trace_sort(
+        builder: &TraceBuilder,
+        trace: &dyn DemandTrace,
+    ) -> Vec<QueryArrival> {
+        let mut rng = StdRng::seed_from_u64(builder.seed);
+        let mut arrivals = Vec::new();
+        for second in 0..trace.duration_secs() {
+            builder.draw_second(&mut rng, trace, second, &mut arrivals);
+        }
+        arrivals.sort_by_key(|a| a.at);
+        arrivals
+    }
+
+    fn assert_identical(got: &[QueryArrival], want: &[QueryArrival], what: &str) {
+        assert_eq!(got.len(), want.len(), "{what}: length");
+        for (i, (g, w)) in got.iter().zip(want).enumerate() {
+            assert!(
+                g.at == w.at && g.family == w.family && g.cost.to_bits() == w.cost.to_bits(),
+                "{what}: arrival {i} differs: {g:?} vs {w:?}"
+            );
+        }
+    }
+
+    #[test]
+    fn per_second_sort_equals_whole_trace_sort() {
+        let traces: [(&str, Box<dyn DemandTrace>); 3] = [
+            (
+                "flat",
+                Box::new(FlatTrace {
+                    qps: 20_000.0,
+                    secs: 5,
+                }),
+            ),
+            (
+                "diurnal",
+                Box::new(DiurnalTrace::paper_like(600, 100.0, 500.0, 11)),
+            ),
+            ("bursty", Box::new(BurstyTrace::paper_like(20.0, 150.0))),
+        ];
+        for (name, trace) in &traces {
+            for seed in [0, 7, 42] {
+                for variable in [false, true] {
+                    let mut builder = TraceBuilder::new(TraceBuilder::paper_families()).seed(seed);
+                    if variable {
+                        builder = builder.variable_input_sizes(1.5);
+                    }
+                    let want = build_with_whole_trace_sort(&builder, trace.as_ref());
+                    let what = format!("{name} seed {seed} variable {variable}");
+                    assert_identical(&builder.build(trace.as_ref()), &want, &what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn arrival_rounded_up_to_the_next_second_stays_ahead_of_its_tie() {
+        // Two seconds in draw order: an arrival of second 3 rounded up to
+        // exactly 4 s, tying the first arrival drawn for second 4.
+        let at = |nanos: u64| SimTime::from_nanos(nanos);
+        let drawn = vec![
+            QueryArrival::new(at(4_000_000_000), ModelFamily::ResNet),
+            QueryArrival::new(at(3_200_000_000), ModelFamily::Bert),
+            QueryArrival::new(at(4_000_000_000), ModelFamily::T5),
+            QueryArrival::new(at(4_500_000_000), ModelFamily::Gpt2),
+            QueryArrival::new(at(4_000_000_000), ModelFamily::DenseNet),
+        ];
+        let mut per_second = drawn.clone();
+        sort_second(&mut per_second[..2]);
+        sort_second(&mut per_second[2..]);
+        let mut whole = drawn;
+        whole.sort_by_key(|a| a.at);
+        assert_eq!(per_second, whole);
+        let families: Vec<_> = per_second.iter().map(|a| a.family).collect();
+        assert_eq!(
+            families,
+            [
+                ModelFamily::Bert,
+                ModelFamily::ResNet,
+                ModelFamily::T5,
+                ModelFamily::DenseNet,
+                ModelFamily::Gpt2,
+            ]
+        );
     }
 
     #[test]

@@ -8,6 +8,90 @@ use proteus_workloads::{
     ArrivalKind, ArrivalProcess, DemandTrace, DiurnalTrace, FlatTrace, TraceBuilder,
 };
 
+/// Tokens at the edges of what the readers must refuse or accept: signs,
+/// non-finite spellings, times just past what `SimTime` can hold, and
+/// malformed numbers.
+const EDGE_TOKENS: &[&str] = &[
+    "0",
+    "-0",
+    "1",
+    "+1",
+    ".5",
+    "5.",
+    "e5",
+    "",
+    " ",
+    "-1",
+    "inf",
+    "-inf",
+    "NaN",
+    "1e20",
+    "1e300",
+    "1e-400",
+    "18446744073",
+    "18446744074",
+    "18446744073.709551615",
+    "1.7976931348623157e308",
+    "18446744073709551616",
+    "0x10",
+    "1_000",
+];
+
+/// A numeric-looking CSV field: a whole number of any size, a float of
+/// any magnitude and sign, or an edge token.
+fn numeric_token() -> impl Strategy<Value = String> {
+    prop_oneof![
+        (0u64..u64::MAX).prop_map(|n| n.to_string()),
+        (-1e3f64..1e3, -330i32..330).prop_map(|(m, e)| format!("{m}e{e}")),
+        (0usize..EDGE_TOKENS.len()).prop_map(|i| EDGE_TOKENS[i].to_string()),
+    ]
+}
+
+/// Feeds `text` to both readers; only an `Err` may come back, never a
+/// panic, and what `arrivals_from_csv` accepts is time-ordered.
+fn read_both(text: &str) -> Result<(), TestCaseError> {
+    if let Ok(arrivals) = arrivals_from_csv(text) {
+        prop_assert!(arrivals.windows(2).all(|w| w[0].at <= w[1].at));
+        prop_assert!(arrivals.iter().all(|a| a.cost.is_finite() && a.cost > 0.0));
+    }
+    if let Ok(trace) = RecordedTrace::from_csv(text) {
+        prop_assert!((0..trace.duration_secs()).all(|s| trace.qps_at(s) >= 0.0));
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn arbitrary_bytes_never_panic_the_readers(bytes in prop::collection::vec(0u16..256, 0..128)) {
+        let bytes: Vec<u8> = bytes.into_iter().map(|b| b as u8).collect();
+        read_both(&String::from_utf8_lossy(&bytes))?;
+    }
+
+    #[test]
+    fn numeric_rows_never_panic_the_readers(
+        rows in prop::collection::vec((numeric_token(), numeric_token(), 0usize..4), 1..12),
+    ) {
+        let mut arrivals_csv = String::from("time_secs,family,cost\n");
+        let mut demand_csv = String::from("second,qps\n");
+        for (i, (a, b, shape)) in rows.iter().enumerate() {
+            let family = ModelFamily::ALL[i % ModelFamily::ALL.len()].label();
+            arrivals_csv.push_str(&match shape {
+                0 => format!("{a},{family}\n"),
+                1 => format!("{a},{family},{b}\n"),
+                2 => format!("{a},{b}\n"),
+                _ => format!("{a}\n"),
+            });
+            // Dense second indices get past the ordering check to the rate.
+            let second = if *shape == 3 { a.clone() } else { i.to_string() };
+            demand_csv.push_str(&format!("{second},{b}\n"));
+        }
+        read_both(&arrivals_csv)?;
+        read_both(&demand_csv)?;
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
